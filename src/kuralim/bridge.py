@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .circle import (
     CircularDensity,
@@ -92,7 +91,8 @@ def accumulate_drift(times: np.ndarray, flux: np.ndarray) -> np.ndarray:
             f"{DRIFT_QUAD_TOL:g}; record the density run with a smaller "
             "output interval"
         )
-    return cumulative_trapezoid(flux, times, initial=0.0)
+    steps = np.diff(times) * (flux[1:] + flux[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 @dataclass(frozen=True)

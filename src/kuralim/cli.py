@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -69,8 +70,22 @@ class RunConfig:
     seed: int | None
 
 
+# PyYAML follows YAML 1.1, where a float needs a dot, so ``1e-3`` loads
+# as a string; scalars of this exponent form are accepted as numbers.
+EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite_number(x):
+    """``x`` as a finite float, reading exponent-form strings; else None."""
+    if isinstance(x, str) and EXPONENT_FLOAT.fullmatch(x):
+        x = float(x)
+    if _is_number(x) and abs(x) <= sys.float_info.max:
+        return float(x)
+    return None
 
 
 def _build_kernel(spec, problems) -> InteractionKernel:
@@ -206,16 +221,16 @@ def parse_config(text: str) -> RunConfig:
         problems.append(f"{size_key} must be a positive integer")
         size = 1
 
-    dt = doc.get("dt", 1e-3)
-    if not _is_number(dt) or dt <= 0:
+    dt = _finite_number(doc.get("dt", 1e-3))
+    if dt is None or dt <= 0:
         problems.append("dt must be a positive number")
         dt = 1e-3
-    t_end = doc.get("T")
-    if not _is_number(t_end) or t_end < 0:
+    t_end = _finite_number(doc.get("T"))
+    if t_end is None or t_end < 0:
         problems.append("T must be a nonnegative number")
         t_end = 0.0
-    output_every = doc.get("output_every", 0.1)
-    if not _is_number(output_every) or output_every <= 0:
+    output_every = _finite_number(doc.get("output_every", 0.1))
+    if output_every is None or output_every <= 0:
         problems.append("output_every must be a positive number")
         output_every = 0.1
 
@@ -250,9 +265,9 @@ def parse_config(text: str) -> RunConfig:
         mode=mode,
         kernel=kernel,
         size=size,
-        dt=float(dt),
-        t_end=float(t_end),
-        output_every=float(output_every),
+        dt=dt,
+        t_end=t_end,
+        output_every=output_every,
         initial=initial,
         output=output,
         seed=seed,
@@ -270,10 +285,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _load_positions(path: str) -> np.ndarray:
-    data = np.loadtxt(path, dtype=float, delimiter=",", ndmin=1)
-    if data.ndim != 1:
-        raise ValidationError(f"initial file {path!r} must hold one value per line")
+def _loadtxt(path: str, **kwargs) -> np.ndarray:
+    try:
+        return np.loadtxt(path, dtype=float, delimiter=",", **kwargs)
+    except (ValueError, OSError) as exc:
+        raise ValidationError(f"cannot read numbers from {path!r}: {exc}") from exc
+
+
+def _load_initial(path: str, size: int, columns: int) -> np.ndarray:
+    """Initial data from a file of ``size`` lines of ``columns`` numbers."""
+    data = _loadtxt(path, ndmin=2)
+    if data.shape != (size, columns):
+        rows, cols = data.shape
+        raise ValidationError(
+            f"initial file {path!r} must hold {size} lines of {columns} comma-separated "
+            f"number(s), found {rows} lines of {cols}"
+        )
     return data
 
 
@@ -290,7 +317,7 @@ def _build_initial(config: RunConfig):
             p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
             values = manifold_field(LabelGrid(config.size), p, float(spec.get("q", 0.0)))
             return ParticleState(values.values)
-        return ParticleState(_load_positions(spec["path"]))
+        return ParticleState(_load_initial(spec["path"], config.size, 1)[:, 0])
     if config.mode == "cl":
         grid = LabelGrid(config.size)
         if kind == "twisted":
@@ -298,16 +325,14 @@ def _build_initial(config: RunConfig):
         if kind == "oa":
             p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
             return manifold_field(grid, p, float(spec.get("q", 0.0)))
-        return LabelField(grid, _load_positions(spec["path"]))
+        return LabelField(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
     if config.mode == "mfl-spectral":
         if kind == "uniform":
             return FourierDensity(np.zeros(config.size, dtype=complex))
         if kind == "oa":
             p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
             return FourierDensity.from_oa(p, config.size)
-        data = np.loadtxt(spec["path"], dtype=float, delimiter=",", ndmin=2)
-        if data.shape[1] != 2:
-            raise ValidationError("spectral initial file needs two columns (re, im)")
+        data = _load_initial(spec["path"], config.size, 2)
         return FourierDensity(data[:, 0] + 1j * data[:, 1])
     grid = ThetaGrid(config.size)
     if kind == "uniform":
@@ -315,7 +340,7 @@ def _build_initial(config: RunConfig):
     if kind == "oa":
         p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
         return oa_cell_averages(p, grid)
-    return CircularDensity(grid, _load_positions(spec["path"]))
+    return CircularDensity(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
 
 
 def _resolve_output(config: RunConfig, args, fallback: str) -> str:
@@ -380,7 +405,7 @@ def _read_density_csv(path: str, n_cells: int) -> DensityTrajectory:
         raise ValidationError(
             f"input {path!r} is not a density trajectory with {n_cells} cells"
         )
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    data = _loadtxt(path, skiprows=1, ndmin=2)
     return DensityTrajectory(data[:, 0], data[:, 1:], ThetaGrid(n_cells))
 
 

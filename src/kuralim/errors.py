@@ -28,8 +28,9 @@ class EmptyMeasure(KuralimError, ValueError):
 
 
 class BranchEvaluation(KuralimError):
-    """Closed-form quantile hit a tangent pole and the root-finding
-    fallback failed as well."""
+    """A closed-form quantile branch could not be evaluated.  No current
+    code path raises it: the Ott-Antonsen quantile evaluates its tangent
+    poles in a pole-free form."""
 
 
 class KernelDomain(KuralimError):

@@ -24,15 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .circle import TWO_PI, LabelGrid, ThetaGrid, CircularDensity, wrap_pm_pi
-from .errors import BranchEvaluation, DomainError
+from .errors import DomainError
 
 #: Concentrations at least this close to 1 are clamped at construction.
 BETA_CAP = 1.0 - 1e-9
-#: Distance from a tangent pole below which the quantile falls back to
-#: root finding on the CDF.
+#: Distance from a tangent pole (``|cos u|``) below which the quantile
+#: switches from the floor-term closed form to its pole-free rewriting.
 POLE_TOL = 1e-12
 
 
@@ -118,18 +117,6 @@ def oa_shift(p: OAPoint) -> float:
     return float(-_arctan_term(p, p.alpha) / np.pi)
 
 
-def _quantile_fallback(p: OAPoint, xi: float) -> float:
-    """Root finding on the CDF, used near tangent poles of the closed form."""
-    try:
-        return brentq(
-            lambda th: oa_cdf(p, th) - xi, 0.0, TWO_PI, xtol=1e-14, rtol=8.9e-16
-        )
-    except Exception as exc:  # pragma: no cover - brentq failure is pathological
-        raise BranchEvaluation(
-            f"quantile fallback failed at xi={xi!r} for {p!r}"
-        ) from exc
-
-
 def oa_quantile(p: OAPoint, xi):
     """Inverse CDF on ``[0, 1]``, continuous and increasing onto ``[0, 2*pi]``.
 
@@ -140,10 +127,15 @@ def oa_quantile(p: OAPoint, xi):
 
     is the branch-tracked evaluation of the textbook two-branch formula:
     the floor term adds the ``2*pi*k`` correction that undoes the arctan
-    jumps, so no case split at the branch label is needed.  Arguments
-    landing within ``POLE_TOL`` of a tangent pole are evaluated by root
-    finding on :func:`oa_cdf` instead; :class:`BranchEvaluation` is raised
-    only if that fallback also fails.
+    jumps, so no case split at the branch label is needed.  Where
+    ``|cos u| < POLE_TOL`` (``u = pi*xi + A``, a tangent pole) the same
+    branch is evaluated in the pole-free form
+
+        2 * [u + arctan((r - 1) sin(u) cos(u) / (cos(u)^2 + r sin(u)^2))] - a,
+
+    whose denominator is at least ``min(1, r) > 0``.  Off the poles the
+    floor-term form is kept: the two differ in the last bit, and stored
+    outputs are compared byte for byte.
     """
     x = np.asarray(xi, dtype=float)
     scalar = x.ndim == 0
@@ -162,10 +154,12 @@ def oa_quantile(p: OAPoint, xi):
     with np.errstate(over="ignore", invalid="ignore"):
         theta = 2.0 * (np.arctan(r * np.tan(u)) + np.pi * k) - p.alpha
 
-    near_pole = np.abs(np.cos(u)) < POLE_TOL
-    if np.any(near_pole):
-        for i in np.nonzero(near_pole)[0]:
-            theta[i] = _quantile_fallback(p, float(x[i]))
+    pole = np.abs(np.cos(u)) < POLE_TOL
+    if np.any(pole):
+        up = u[pole]
+        c, s = np.cos(up), np.sin(up)
+        swing = np.arctan((r - 1.0) * s * c / (c * c + r * s * s))
+        theta[pole] = 2.0 * (up + swing) - p.alpha
     theta = np.clip(theta, 0.0, TWO_PI)
     return float(theta[0]) if scalar else theta
 

@@ -1,6 +1,8 @@
 """Quantile bridge between density trajectories and label fields."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from kuralim import (
     CircularDensity,
@@ -29,6 +31,7 @@ from kuralim import (
     twisted_field,
     w1_circle,
 )
+from kuralim.bridge import accumulate_drift
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,6 +97,21 @@ def test_fallback_quadrature_needs_dense_recording():
     two = DensityTrajectory(run.times[:2], run.values[:2], run.grid)
     with pytest.raises(DriftQuadrature):
         mfl_to_cl_circle(two, KuramotoSin(), LabelGrid(64))
+
+
+@given(
+    st.lists(
+        # (time step, flux); fluxes this small always pass the error estimate
+        st.tuples(st.floats(1e-4, 1.0), st.floats(-1e-6, 1e-6)),
+        min_size=3,
+        max_size=60,
+    )
+)
+def test_accumulate_drift_matches_scipy_bitwise(samples):
+    times = np.cumsum([dt for dt, _ in samples])
+    flux = np.array([f for _, f in samples])
+    expected = cumulative_trapezoid(flux, times, initial=0.0)
+    assert accumulate_drift(times, flux).tobytes() == expected.tobytes()
 
 
 def test_fallback_quadrature_agrees_with_stored_drift():

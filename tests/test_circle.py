@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import linprog
+from scipy.stats import wasserstein_distance
 
 from kuralim import (
     CdfFn,
@@ -208,6 +209,27 @@ def test_w1_line_hand_values():
     assert np.isclose(w1_line(mu, nu), 0.7)
     with pytest.raises(DomainError):
         w1_line(mu, EmpiricalMeasure(np.array([0.0]), np.array([1.0])))
+
+
+def _line_measure(atoms):
+    pos = np.array([x for x, _ in atoms], dtype=float)
+    w = np.array([w for _, w in atoms])
+    return EmpiricalMeasure(pos, w / w.sum(), "line")
+
+
+# small integers give tied atoms, within and across the two measures
+LINE_ATOMS = st.lists(
+    st.tuples(st.integers(-3, 3) | st.floats(-1e3, 1e3), st.floats(0.01, 1.0)),
+    min_size=1,
+    max_size=20,
+)
+
+
+@given(LINE_ATOMS, LINE_ATOMS)
+def test_w1_line_matches_scipy_bitwise(a, b):
+    mu, nu = _line_measure(a), _line_measure(b)
+    expected = wasserstein_distance(mu.positions, nu.positions, mu.weights, nu.weights)
+    assert w1_line(mu, nu) == float(expected)
 
 
 def test_w1_circle_hand_values():

@@ -1,10 +1,15 @@
 """Configuration parsing and end-to-end command runs."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kuralim
 from kuralim import KuramotoSin, OAPoint, OddTrig, ParseError, TabulatedGradient, ValidationError, oa_flow
 from kuralim.cli import parse_config, run_cli
 
@@ -42,6 +47,28 @@ def test_parse_rejects_unknown_and_bad_values_together():
 def test_parse_rejects_negative_dt():
     with pytest.raises(ValidationError):
         parse_config("mode: cl\nkernel: kuramoto\nn_labels: 8\nT: 1\ndt: -1e-3\n")
+
+
+def test_parse_reads_exponent_floats():
+    # YAML 1.1 loads 1e-3 (no dot) as a string
+    cfg = parse_config("mode: cl\nn_labels: 8\ndt: 1e-3\nT: 2E0\noutput_every: 5e-2\n")
+    assert (cfg.dt, cfg.t_end, cfg.output_every) == (1e-3, 2.0, 0.05)
+    for bad in ("dt: 1e-3x", "dt: .inf", "dt: 1e400", "output_every: e3"):
+        with pytest.raises(ValidationError):
+            parse_config(f"mode: cl\nn_labels: 8\nT: 1\n{bad}\n")
+    for bad in ("T: .nan", "T: -1e-3", "T: 1e400"):
+        with pytest.raises(ValidationError):
+            parse_config(f"mode: cl\nn_labels: 8\n{bad}\n")
+
+
+def test_readme_simulate_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"### simulate\n.*?```yaml\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    Path("run.yaml").write_text(example)
+    assert run_cli(["simulate", "--config", "run.yaml"]) == 0
+    rows = np.loadtxt("run.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (11, 257)
 
 
 def test_parse_rejects_oa_beta_outside_unit_disc():
@@ -269,3 +296,49 @@ def test_file_initial_round_trip(tmp_path):
     assert run_cli(["simulate", "--config", cfg]) == 0
     rows = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1, ndmin=2)
     assert np.allclose(rows[0, 1:], positions, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "mode, size_key, line",
+    [("ds", "N", "0.5"), ("cl", "n_labels", "0.5"), ("mfl-grid", "n_cells", "0.5"),
+     ("mfl-spectral", "n_modes", "0.1,0.0")],
+)
+def test_file_initial_length_must_match_size(tmp_path, capsys, mode, size_key, line):
+    init = _write(tmp_path, "init.csv", f"{line}\n" * 3)
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: {mode}\n{size_key}: 5\nT: 0.0\n"
+        f"initial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "error: initial file" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_malformed_numbers_exit_two(tmp_path, capsys):
+    init = _write(tmp_path, "init.csv", "0.1\nabc\n0.3\n")
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: ds\nN: 3\nT: 0.0\ninitial: {{type: file, path: '{init}'}}\n"
+        f"output: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "error: cannot read numbers" in capsys.readouterr().err
+    # the same for a stored density trajectory handed to transform
+    traj = _write(tmp_path, "traj.csv", "t,f_0,f_1\n0.0,0.1,oops\n")
+    grid = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 2\nT: 0.0\n")
+    assert run_cli(["transform", "--config", grid, "--input", traj]) == 2
+    assert "error: cannot read numbers" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(kuralim.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = "import sys, kuralim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

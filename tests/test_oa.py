@@ -26,6 +26,7 @@ from kuralim import (
     wrap_pm_pi,
 )
 from kuralim._rk4 import integrate_fixed
+from kuralim.oa import POLE_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -119,6 +120,23 @@ def test_quantile_near_tangent_pole():
     theta = oa_quantile(p, probes)
     assert np.max(np.abs(oa_cdf(p, theta) - probes)) < 1e-10
     assert np.all(np.diff(theta) >= 0.0)
+
+    # probes exactly on the pole take the pole-free branch, up to extreme
+    # concentration
+    for beta in (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999):
+        for alpha in (-3.0, -1.2, 0.0, 0.8, 2.5):
+            p = OAPoint(alpha, beta)
+            r = (1 - p.beta) / (1 + p.beta)
+            a = np.arctan(np.tan(p.alpha / 2.0) / r)
+            xi_star = (np.pi / 2.0 - a) / np.pi % 1.0
+            on_pole = np.array([np.nextafter(xi_star, 0.0), xi_star, np.nextafter(xi_star, 1.0)])
+            assert np.all(np.abs(np.cos(np.pi * on_pole + a)) < POLE_TOL)
+            probes = np.concatenate(([xi_star - 1e-7, xi_star - 1e-13], on_pole,
+                                     [xi_star + 1e-13, xi_star + 1e-7]))
+            probes = probes[(probes >= 0.0) & (probes <= 1.0)]
+            theta = oa_quantile(p, probes)
+            assert np.max(np.abs(oa_cdf(p, theta) - probes)) < 1e-14, (alpha, beta)
+            assert np.all(np.diff(theta) >= 0.0), (alpha, beta)
 
 
 def test_quantile_domain_error():
