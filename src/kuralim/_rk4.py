@@ -51,10 +51,10 @@ def step_schedule(dt: float, t_end: float) -> tuple[int, float]:
     Returns ``(n_full, remainder)`` with ``remainder == 0.0`` whenever
     ``t_end`` is an integer multiple of ``dt`` up to rounding.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
-    if t_end < 0.0:
-        raise DomainError(f"final time must be nonnegative, got {t_end}")
+    if not 0.0 <= t_end < np.inf:
+        raise DomainError(f"final time must be finite and nonnegative, got {t_end}")
     if t_end == 0.0:
         return 0, 0.0
     n_full = int(np.floor(t_end / dt + 1e-9))
@@ -73,18 +73,24 @@ def integrate_fixed(
     record_every: int = 1,
     wrap=None,
     post_step=None,
+    step=None,
 ) -> Trajectory:
     """Integrate ``y' = rhs(y)`` from 0 to ``t_end`` with fixed step ``dt``.
 
-    Records every ``record_every``-th step; the first and last states are
-    always included.  ``wrap`` (if given) maps the state to its canonical
-    representative after each full step.  ``post_step(y, step, t)`` may
-    raise to abort (used for spectral tail monitoring).  Raises
-    :class:`NonFinite` naming the first bad step if the state leaves the
-    finite range.
+    ``step(rhs, y, h, t)`` advances ``y`` by ``h`` to time ``t``; the
+    default is :func:`rk4_step`, and the grid solver passes its upwind
+    finite-volume step.  Records every ``record_every``-th step; the first
+    and last states are always included.  ``wrap`` (if given) maps the
+    state to its canonical representative after each full step.
+    ``post_step(y, step, t)`` may raise to abort (used for spectral tail
+    monitoring).  Raises :class:`DomainError` when ``dt`` exceeds a
+    positive ``t_end``, and :class:`NonFinite` naming the first bad step
+    if the state leaves the finite range.
     """
     if record_every < 1:
         raise DomainError("record_every must be a positive integer")
+    if t_end > 0.0 and dt > t_end:
+        raise DomainError(f"dt = {dt} exceeds final time {t_end}")
     y = np.array(y0)
     if not np.all(np.isfinite(y)):
         raise NonFinite("initial state contains non-finite components")
@@ -93,26 +99,32 @@ def integrate_fixed(
 
     times = [0.0]
     states = [y.copy()]
-    for step in range(1, n_total + 1):
-        h = dt if step <= n_full else remainder
-        t = step * dt if step <= n_full else t_end
-        y = rk4_step(rhs, y, h)
+    for k in range(1, n_total + 1):
+        h = dt if k <= n_full else remainder
+        t = k * dt if k <= n_full else t_end
+        y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
         if wrap is not None:
             y = wrap(y)
         if not np.all(np.isfinite(y)):
-            raise NonFinite(f"non-finite state at step {step} (t = {t:.6g})")
+            raise NonFinite(f"non-finite state at step {k} (t = {t:.6g})")
         if post_step is not None:
-            post_step(y, step, t)
-        if step % record_every == 0 or step == n_total:
+            post_step(y, k, t)
+        if k % record_every == 0 or k == n_total:
             times.append(t)
             states.append(y.copy())
     return Trajectory(np.array(times), np.array(states))
 
 
 def record_stride(dt: float, output_every: float | None) -> int:
-    """Translate an output interval into a step stride."""
+    """Translate an output interval into a step stride.
+
+    ``output_every / dt`` is rounded to the nearest whole number of steps
+    (ties to even, at least 1): 0.015 with ``dt = 0.01`` records every 0.02.
+    """
     if output_every is None:
         return 1
     if output_every <= 0:
         raise DomainError(f"output_every must be positive, got {output_every}")
+    if not dt > 0.0:
+        raise DomainError(f"dt must be positive, got {dt}")
     return max(1, int(round(output_every / dt)))

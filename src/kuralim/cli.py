@@ -20,6 +20,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from ._rk4 import step_schedule
 from .circle import TWO_PI, CircularDensity, LabelGrid, ThetaGrid
 from .continuum import LabelField, cl_simulate, manifold_field, twisted_field
 from .errors import KuralimError, ParseError, ValidationError
@@ -466,10 +467,8 @@ def _cmd_oa(args) -> int:
     every = args.output_every
     if every <= 0:
         raise ValidationError("--output-every must be positive")
-    n_full = int(np.floor(t_end / every + 1e-9))
-    times = [k * every for k in range(n_full + 1)]
-    if t_end - n_full * every > 1e-9 * max(1.0, t_end):
-        times.append(t_end)
+    n_full, remainder = step_schedule(every, t_end)
+    times = [k * every for k in range(n_full + 1)] + ([t_end] if remainder else [])
     rows = ([t, p.alpha, oa_flow(p, t).beta] for t in times)
     _write_csv(args.output, ["t", "alpha", "beta"], rows)
     return 0

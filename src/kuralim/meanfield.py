@@ -137,9 +137,6 @@ def mfl_simulate_spectral(
     ``TAIL_LIMIT``, which signals that the truncation is no longer
     meaningful.
     """
-    if t_end > 0.0 and dt > t_end:
-        raise DomainError(f"dt = {dt} exceeds final time {t_end}")
-
     def rhs(c):
         return spectral_rhs(c, oa_tail=oa_tail)
 
@@ -215,38 +212,27 @@ def mfl_simulate_grid(
 
     Cell values are averages over ``[theta_j, theta_j + dtheta)``; the
     self-consistent velocity is integrated by the midpoint rule over cell
-    centers and evaluated at cell interfaces (the grid nodes).  Every step
-    checks the CFL number against :data:`CFL_LIMIT` and raises
-    :class:`CflViolation` when the step size is too large for the current
-    velocity field.  The mass crossing the ``theta = 0`` interface is
-    accumulated exactly as the run proceeds and stored per recorded time
-    (see :class:`DensityTrajectory`).
+    centers and evaluated at cell interfaces (the grid nodes).  The forward
+    Euler steps run through :func:`integrate_fixed`.  Every step checks the
+    CFL number against :data:`CFL_LIMIT` and raises :class:`CflViolation`
+    when the step size is too large for the current velocity field.  The
+    mass crossing the ``theta = 0`` interface is accumulated exactly as the
+    run proceeds and stored per recorded time (see
+    :class:`DensityTrajectory`).
     """
-    if t_end > 0.0 and dt > t_end:
-        raise DomainError(f"dt = {dt} exceeds final time {t_end}")
     grid = initial.grid
     dtheta = grid.spacing
     centers = grid.nodes + 0.5 * dtheta
     interfaces = grid.nodes
 
-    f = initial.values.copy()
-    stride = record_stride(dt, output_every)
+    # The state is the cell values followed by the mass that has crossed
+    # the theta = 0 interface so far.
+    def velocity(y):
+        return kernel.circle_velocity(interfaces, centers, y[:-1] * dtheta)
 
-    n_full = int(np.floor(t_end / dt + 1e-9))
-    remainder = t_end - n_full * dt
-    if remainder < 1e-9 * max(1.0, abs(t_end)):
-        remainder = 0.0
-    n_total = n_full + (1 if remainder else 0)
-
-    times = [0.0]
-    slices = [f.copy()]
-    crossed = 0.0
-    drifts = [0.0]
-    for step in range(1, n_total + 1):
-        h = dt if step <= n_full else remainder
-        t = step * dt if step <= n_full else t_end
-
-        v = kernel.circle_velocity(interfaces, centers, f * dtheta)
+    def upwind_step(velocity, y, h, t):
+        f = y[:-1]
+        v = velocity(y)
         vmax = float(np.max(np.abs(v)))
         if vmax * h > CFL_LIMIT * dtheta:
             raise CflViolation(
@@ -258,17 +244,17 @@ def mfl_simulate_grid(
         # Lax-Friedrichs with speed |v| == upwinding for flux v*f.
         left = np.roll(f, 1)
         flux = 0.5 * v * (left + f) - 0.5 * np.abs(v) * (f - left)
-        f = f - (h / dtheta) * (np.roll(flux, -1) - flux)
-        crossed += h * flux[0]
+        return np.append(f - (h / dtheta) * (np.roll(flux, -1) - flux), y[-1] + h * flux[0])
 
-        if not np.all(np.isfinite(f)):
-            raise CflViolation(f"non-finite density at step {step} (t = {t:.6g})")
-        if step % stride == 0 or step == n_total:
-            times.append(t)
-            slices.append(f.copy())
-            drifts.append(crossed)
-
-    return DensityTrajectory(np.array(times), np.array(slices), grid, np.array(drifts))
+    traj = integrate_fixed(
+        velocity,
+        np.append(initial.values, 0.0),
+        dt,
+        t_end,
+        record_every=record_stride(dt, output_every),
+        step=upwind_step,
+    )
+    return DensityTrajectory(traj.times, traj.states[:, :-1], grid, traj.states[:, -1])
 
 
 def linearized_operator(n_cells: int, harmonic: int = 1) -> np.ndarray:

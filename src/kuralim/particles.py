@@ -193,8 +193,6 @@ def _simulate_positions(
 ) -> Trajectory:
     # Single integration path shared by the finite system and the
     # continuum-limit solver: identical inputs give identical bytes.
-    if t_end > 0.0 and dt > t_end:
-        raise DomainError(f"dt = {dt} exceeds final time {t_end}")
     if frequencies is None:
         rhs = kernel.mean_interaction
     else:

@@ -237,6 +237,44 @@ def test_oa_flow_matches_closed_form(tmp_path):
         assert abs(beta - oa_flow(p, t).beta) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "t_end, times",
+    [("0.25", [0.0, 0.1, 0.2, 0.25]), ("0.3", [0.0, 0.1, 0.2, 0.3]), ("0", [0.0])],
+    ids=["remainder", "exact-multiple", "zero"],
+)
+def test_oa_flow_recording_times(tmp_path, t_end, times):
+    out = tmp_path / "flow.csv"
+    assert run_cli([
+        "oa", "flow", "--alpha", "0.3", "--beta", "0.1", "--t", t_end,
+        "--output-every", "0.1", "--output", str(out),
+    ]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == len(times)
+    # 3 * 0.1 rounds to 0.30000000000000004: the last row is that step, not a
+    # duplicate at t = 0.3
+    assert np.allclose(rows[:, 0], times, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("t_end", ["inf", "nan"])
+def test_oa_flow_rejects_non_finite_time(tmp_path, capsys, t_end):
+    out = tmp_path / "flow.csv"
+    assert run_cli(["oa", "flow", "--alpha", "0.3", "--beta", "0.1", "--t", t_end, "--output", str(out)]) == 2
+    assert "error: final time must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_output_every_rounds_to_whole_steps(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "g.yaml",
+        "mode: mfl-grid\nn_cells: 4\nkernel: kuramoto\ndt: 0.01\nT: 0.02\noutput_every: 0.015\n"
+        f"output: {tmp_path}/g.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    rows = np.loadtxt(tmp_path / "g.csv", delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == [0.0, 0.02]
+
+
 def test_oa_eval_table(tmp_path):
     out = tmp_path / "eval.csv"
     assert run_cli([

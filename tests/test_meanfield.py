@@ -10,8 +10,12 @@ from kuralim import (
     FourierDensity,
     KuramotoSin,
     OAPoint,
+    OddTrig,
+    ParticleState,
+    TabulatedGradient,
     TailBlowup,
     ThetaGrid,
+    ds_simulate,
     linearized_operator,
     linearized_spectrum,
     mfl_simulate_grid,
@@ -218,3 +222,96 @@ def test_linearized_operator_validation():
     # a higher harmonic shifts which mode pair carries the 1/2 eigenvalue
     ev = linearized_spectrum(linearized_operator(32, harmonic=3))
     assert abs(ev[0] - 0.5) < 1e-12 and abs(ev[1] - 0.5) < 1e-12
+
+
+def _frozen_grid_loop(initial, kernel, dt, t_end, output_every=None):
+    """The grid solver's own step loop as it stood before the solver moved
+    onto integrate_fixed (record_stride and CFL_LIMIT inlined), frozen as
+    the bitwise reference: returns (times, values, drift)."""
+    grid = initial.grid
+    dtheta = grid.spacing
+    centers = grid.nodes + 0.5 * dtheta
+    interfaces = grid.nodes
+
+    f = initial.values.copy()
+    stride = 1 if output_every is None else max(1, int(round(output_every / dt)))
+
+    n_full = int(np.floor(t_end / dt + 1e-9))
+    remainder = t_end - n_full * dt
+    if remainder < 1e-9 * max(1.0, abs(t_end)):
+        remainder = 0.0
+    n_total = n_full + (1 if remainder else 0)
+
+    times = [0.0]
+    slices = [f.copy()]
+    crossed = 0.0
+    drifts = [0.0]
+    for step in range(1, n_total + 1):
+        h = dt if step <= n_full else remainder
+        t = step * dt if step <= n_full else t_end
+
+        v = kernel.circle_velocity(interfaces, centers, f * dtheta)
+        vmax = float(np.max(np.abs(v)))
+        if vmax * h > 0.5 * dtheta:
+            raise CflViolation(
+                f"CFL number {vmax * h / dtheta:.3f} exceeds 0.5 at "
+                f"t = {t:.6g}; need dt <= {0.5 * dtheta / vmax:.6g}"
+            )
+
+        # Interface j sits between cells j-1 and j (periodic).  Local
+        # Lax-Friedrichs with speed |v| == upwinding for flux v*f.
+        left = np.roll(f, 1)
+        flux = 0.5 * v * (left + f) - 0.5 * np.abs(v) * (f - left)
+        f = f - (h / dtheta) * (np.roll(flux, -1) - flux)
+        crossed += h * flux[0]
+
+        if not np.all(np.isfinite(f)):
+            raise CflViolation(f"non-finite density at step {step} (t = {t:.6g})")
+        if step % stride == 0 or step == n_total:
+            times.append(t)
+            slices.append(f.copy())
+            drifts.append(crossed)
+    return np.array(times), np.array(slices), np.array(drifts)
+
+
+_OFFSETS = np.linspace(-np.pi, np.pi, 65)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [KuramotoSin(), OddTrig((1.0, 0.3, 0.1)), TabulatedGradient(_OFFSETS, -np.sin(_OFFSETS), periodic=True)],
+    ids=["sin", "odd-trig", "tabulated"],
+)
+@pytest.mark.parametrize(
+    "t_end, output_every, n_rows",
+    [(0.253, None, 27), (0.2, None, 21), (0.47, 0.04, 13)],
+    ids=["remainder", "exact-multiple", "stride-4"],
+)
+def test_grid_solver_matches_frozen_loop_bitwise(kernel, t_end, output_every, n_rows):
+    initial = oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(64))
+    run = mfl_simulate_grid(initial, kernel, 0.01, t_end, output_every=output_every)
+    times, values, drift = _frozen_grid_loop(initial, kernel, 0.01, t_end, output_every)
+    assert run.times.tobytes() == times.tobytes()
+    assert run.values.tobytes() == values.tobytes()
+    assert run.drift.tobytes() == drift.tobytes()
+    assert len(run) == n_rows
+
+
+def test_grid_rejects_zero_dt():
+    initial = oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(16))
+    for output_every in (None, 0.1):
+        with pytest.raises(DomainError, match="dt must be positive"):
+            mfl_simulate_grid(initial, KuramotoSin(), 0.0, 1.0, output_every=output_every)
+
+
+@pytest.mark.parametrize("solver", ["ds", "mfl-spectral", "mfl-grid"])
+def test_dt_beyond_final_time_rejected(solver):
+    p = OAPoint(0.4, 0.3)
+    run = {
+        "ds": lambda dt, t: ds_simulate(ParticleState(np.linspace(0.0, 1.0, 8)), KuramotoSin(), dt, t),
+        "mfl-spectral": lambda dt, t: mfl_simulate_spectral(FourierDensity.from_oa(p, 8), dt, t),
+        "mfl-grid": lambda dt, t: mfl_simulate_grid(oa_cell_averages(p, ThetaGrid(16)), KuramotoSin(), dt, t),
+    }[solver]
+    with pytest.raises(DomainError, match="exceeds final time"):
+        run(0.2, 0.1)
+    assert len(run(0.2, 0.0)) == 1
