@@ -89,6 +89,14 @@ def _finite_number(x):
     return None
 
 
+def _finite_numbers(xs):
+    """A list of finite numbers read by :func:`_finite_number`; else None."""
+    if not isinstance(xs, list):
+        return None
+    out = [_finite_number(x) for x in xs]
+    return None if None in out else out
+
+
 def _build_kernel(spec, problems) -> InteractionKernel:
     if spec is None:
         spec = "kuramoto"
@@ -102,41 +110,34 @@ def _build_kernel(spec, problems) -> InteractionKernel:
         extra = set(spec) - {"type", "coupling"}
         if extra:
             problems.append(f"unknown kernel keys {sorted(extra)}")
-        coupling = spec.get("coupling", 1.0)
-        if not _is_number(coupling):
-            problems.append("kernel coupling must be a number")
+        coupling = _finite_number(spec.get("coupling", 1.0))
+        if coupling is None:
+            problems.append("kernel coupling must be a finite number")
             coupling = 1.0
-        return KuramotoSin(float(coupling))
+        return KuramotoSin(coupling)
     if kind == "odd-trig":
         extra = set(spec) - {"type", "coefficients"}
         if extra:
             problems.append(f"unknown kernel keys {sorted(extra)}")
-        coeffs = spec.get("coefficients")
-        if not isinstance(coeffs, list) or not coeffs or not all(_is_number(c) for c in coeffs):
-            problems.append("odd-trig kernel needs a nonempty numeric coefficients list")
+        coeffs = _finite_numbers(spec.get("coefficients"))
+        if not coeffs:
+            problems.append("odd-trig kernel needs a nonempty list of finite coefficients")
             return KuramotoSin()
-        return OddTrig(tuple(float(c) for c in coeffs))
+        return OddTrig(tuple(coeffs))
     if kind == "tabulated":
         extra = set(spec) - {"type", "offsets", "values", "periodic"}
         if extra:
             problems.append(f"unknown kernel keys {sorted(extra)}")
-        offsets = spec.get("offsets")
-        values = spec.get("values")
-        ok = (
-            isinstance(offsets, list)
-            and isinstance(values, list)
-            and len(offsets) == len(values)
-            and len(offsets) >= 2
-            and all(_is_number(v) for v in offsets + values)
-        )
-        if not ok:
-            problems.append("tabulated kernel needs matching numeric offsets/values lists")
+        offsets = _finite_numbers(spec.get("offsets"))
+        values = _finite_numbers(spec.get("values"))
+        if offsets is None or values is None or len(offsets) != len(values) or len(offsets) < 2:
+            problems.append("tabulated kernel needs matching lists of finite offsets/values")
             return KuramotoSin()
         periodic = spec.get("periodic", True)
         if not isinstance(periodic, bool):
             problems.append("tabulated kernel periodic flag must be boolean")
             periodic = True
-        return TabulatedGradient(np.array(offsets, float), np.array(values, float), periodic)
+        return TabulatedGradient(np.array(offsets), np.array(values), periodic)
     problems.append(f"unknown kernel type {kind!r}")
     return KuramotoSin()
 
@@ -162,28 +163,27 @@ def _check_initial(spec, mode, problems) -> dict:
     extra = set(spec) - keys
     if extra:
         problems.append(f"unknown initial keys {sorted(extra)}")
+    spec = dict(spec)
     if kind == "twisted":
         m = spec.get("m")
         if not isinstance(m, int) or isinstance(m, bool):
             problems.append("twisted initial needs integer winding m")
-        q = spec.get("q", 0.0)
-        if not _is_number(q):
-            problems.append("twisted initial q must be a number")
     if kind == "oa":
-        alpha = spec.get("alpha")
-        beta = spec.get("beta")
-        if not _is_number(alpha):
-            problems.append("oa initial needs numeric alpha")
-        if not _is_number(beta) or not 0.0 <= float(beta) < 1.0:
+        alpha = spec["alpha"] = _finite_number(spec.get("alpha"))
+        beta = spec["beta"] = _finite_number(spec.get("beta"))
+        if alpha is None:
+            problems.append("oa initial needs a finite alpha")
+        if beta is None or not 0.0 <= beta < 1.0:
             problems.append("oa initial needs beta in [0, 1)")
-        q = spec.get("q", 0.0)
-        if not _is_number(q):
-            problems.append("oa initial q must be a number")
         if mode.startswith("mfl") and "q" in spec:
             problems.append("oa initial q does not apply to density modes")
+    if kind in ("twisted", "oa") and "q" in spec:
+        spec["q"] = _finite_number(spec["q"])
+        if spec["q"] is None:
+            problems.append(f"{kind} initial q must be a finite number")
     if kind == "file" and not isinstance(spec.get("path"), str):
         problems.append("file initial needs a path string")
-    return dict(spec)
+    return spec
 
 
 def parse_config(text: str) -> RunConfig:

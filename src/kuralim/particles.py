@@ -6,9 +6,10 @@ kernels follow the Kuramoto sign convention ``phi(x, y) = K sin(y - x)``,
 i.e. positive coupling is attractive, and the gradient-shape hypothesis
 ``phi(x, y) = Phi'(x - y)`` for tabulated kernels.
 
-Interaction means are reduced with exactly-rounded summation
-(:mod:`kuralim._reduce`), which makes trajectories bitwise equivariant
-under particle relabeling and lets symmetric states cancel to rounding.
+Interaction means are correctly rounded sums (:mod:`kuralim._reduce`,
+``math.fsum``'s bits by error-free extraction), which makes trajectories
+bitwise equivariant under particle relabeling and lets symmetric states
+cancel to rounding.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._reduce import exact_mean, exact_mean_complex
+from ._reduce import exact_mean_complex, exact_row_sums
 from ._rk4 import Trajectory, integrate_fixed, record_stride
 from .circle import TWO_PI, EmpiricalMeasure, wrap_angle
 from .errors import DomainError, KernelDomain
@@ -56,13 +57,23 @@ class ParticleState:
         return len(self.positions)
 
 
+# Values of phi evaluated at once by the generic mean interaction.
+BLOCK_VALUES = 1 << 16
+
+
+def _check_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{name} must be finite")
+
+
 class InteractionKernel:
     """Pairwise interaction ``phi(x, y)`` plus the reductions built on it.
 
-    Subclasses override :meth:`phi`; the generic mean/velocity reductions
-    here are O(N^2) and exact, and the trigonometric kernels replace them
-    with O(N) order-parameter forms (identical real-arithmetic identities,
-    so they agree to rounding).
+    Subclasses override :meth:`phi`, which broadcasts over array
+    arguments; the generic mean/velocity reductions here are O(N^2) and
+    exact, and the trigonometric kernels replace them with O(N)
+    order-parameter forms (identical real-arithmetic identities, so they
+    agree to rounding).
     """
 
     def phi(self, x, y):
@@ -70,9 +81,12 @@ class InteractionKernel:
 
     def mean_interaction(self, positions: np.ndarray) -> np.ndarray:
         """Componentwise ``(1/N) sum_j phi(x_i, x_j)``, self term included."""
+        n = len(positions)
         out = np.empty_like(positions)
-        for i in range(len(positions)):
-            out[i] = exact_mean(self.phi(positions[i], positions))
+        step = max(1, BLOCK_VALUES // n)
+        for start in range(0, n, step):
+            x = positions[start:start + step, None]
+            out[start:start + step] = exact_row_sums(self.phi(x, positions)) / n
         return out
 
     def circle_velocity(self, theta, nodes: np.ndarray, masses: np.ndarray):
@@ -87,6 +101,9 @@ class KuramotoSin(InteractionKernel):
     """Classic sine coupling ``phi(x, y) = coupling * sin(y - x)``."""
 
     coupling: float = 1.0
+
+    def __post_init__(self):
+        _check_finite("coupling", self.coupling)
 
     def phi(self, x, y):
         return self.coupling * np.sin(np.asarray(y, dtype=float) - x)
@@ -117,6 +134,7 @@ class OddTrig(InteractionKernel):
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) == 0:
             raise DomainError("OddTrig needs at least one harmonic coefficient")
+        _check_finite("coefficients", self.coefficients)
 
     def phi(self, x, y):
         d = np.asarray(y, dtype=float) - x
@@ -155,6 +173,7 @@ class TabulatedGradient(InteractionKernel):
         v = np.asarray(self.values, dtype=float).copy()
         if u.ndim != 1 or u.shape != v.shape or len(u) < 2:
             raise DomainError("offsets/values must be matching 1-d arrays, length >= 2")
+        _check_finite("offsets/values", np.concatenate([u, v]))
         if np.any(np.diff(u) <= 0):
             raise DomainError("offsets must be strictly increasing")
         u.flags.writeable = False

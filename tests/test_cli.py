@@ -371,6 +371,62 @@ def test_malformed_numbers_exit_two(tmp_path, capsys):
     assert "error: cannot read numbers" in capsys.readouterr().err
 
 
+NON_FINITE_KERNELS = [
+    "{type: tabulated, offsets: [-7.0, 0.0, 7.0], values: [.inf, 0.0, -.inf], periodic: false}",
+    "{type: tabulated, offsets: [-7.0, .nan, 7.0], values: [1.0, 0.0, -1.0], periodic: false}",
+    "{type: kuramoto, coupling: .nan}",
+    "{type: kuramoto, coupling: 1e400}",
+    "{type: odd-trig, coefficients: [1.0, .inf]}",
+]
+
+
+@pytest.mark.parametrize("kernel", NON_FINITE_KERNELS)
+def test_non_finite_kernel_parameters_exit_two(tmp_path, capsys, kernel):
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: ds\nN: 4\ndt: 0.01\nT: 0.01\ninitial: {{type: twisted, m: 1}}\n"
+        f"kernel: {kernel}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "kernel" in err and "finite" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "initial",
+    ["{type: oa, alpha: .nan, beta: 0.2}", "{type: oa, alpha: 0.1, beta: .nan}",
+     "{type: oa, alpha: 0.1, beta: 0.2, q: .inf}", "{type: twisted, m: 1, q: -.inf}"],
+)
+def test_non_finite_initial_parameters_exit_two(tmp_path, capsys, initial):
+    cfg = _write(tmp_path, "run.yaml", f"mode: cl\nn_labels: 8\nT: 0.0\ninitial: {initial}\n")
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "initial" in err
+
+
+def test_kernel_and_initial_parameters_read_exponent_floats():
+    cfg = parse_config(
+        "mode: cl\nn_labels: 8\nT: 1\nkernel: {type: kuramoto, coupling: 1e-3}\n"
+        "initial: {type: oa, alpha: 1e-1, beta: 2E-1, q: 5e-1}\n"
+    )
+    assert cfg.kernel == KuramotoSin(1e-3)
+    assert (cfg.initial["alpha"], cfg.initial["beta"], cfg.initial["q"]) == (0.1, 0.2, 0.5)
+    trig = parse_config(
+        "mode: ds\nN: 8\nT: 1\nkernel: {type: odd-trig, coefficients: [1, 1e-1]}\n"
+        "initial: {type: twisted, m: 1, q: 1e-2}\n"
+    )
+    assert trig.kernel.coefficients == (1.0, 0.1)
+    assert trig.initial["q"] == 0.01
+    tab = parse_config(
+        "mode: mfl-grid\nn_cells: 8\nT: 1\n"
+        "kernel: {type: tabulated, offsets: [-3.2e0, 0, 3.2e0], values: [1e-1, 0, -1e-1]}\n"
+    )
+    assert tab.kernel.offsets.tolist() == [-3.2, 0.0, 3.2]
+    assert tab.kernel.values.tolist() == [0.1, 0.0, -0.1]
+
+
 def test_import_loads_no_scipy():
     src = str(Path(kuralim.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

@@ -1,4 +1,6 @@
 """Finite-system dynamics: kernels, the mean interaction, and RK4 runs."""
+import math
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,53 @@ def test_tabulated_gradient_window():
         tab.phi(0.0, 2.0)
     with pytest.raises(DomainError):
         TabulatedGradient(np.array([1.0, 0.0]), np.array([0.0, 0.0]))
+
+
+def _frozen_mean_interaction(kernel, positions):
+    """The generic mean interaction as it was: one fsum and one phi per row."""
+    out = np.empty_like(positions)
+    for i in range(len(positions)):
+        values = kernel.phi(positions[i], positions)
+        out[i] = math.fsum(values) / len(values)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 300, 700])
+@pytest.mark.parametrize("periodic", [True, False])
+def test_generic_mean_interaction_matches_row_loop_bitwise(n, periodic):
+    # 300 and 700 values a row span the exact reduction's cutoff and
+    # split into several row blocks.
+    rng = np.random.default_rng(n)
+    if periodic:
+        offsets = np.linspace(-np.pi, np.pi, 65)
+        tab = TabulatedGradient(offsets, -np.sin(offsets), periodic=True)
+        x = rng.uniform(0.0, TWO_PI, n)
+    else:
+        offsets = np.linspace(-7.0, 7.0, 29)
+        tab = TabulatedGradient(offsets, np.tanh(offsets) * rng.uniform(0.5, 1.5, 29))
+        x = rng.normal(0.0, 1.0, n)
+    got = tab.mean_interaction(x)
+    assert np.array_equal(got.view(np.int64), _frozen_mean_interaction(tab, x).view(np.int64))
+
+
+def test_generic_mean_interaction_raises_outside_window():
+    tab = TabulatedGradient(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, -1.0]))
+    x = np.zeros(600)
+    x[450] = 1.5  # pairs with particle 450 lie outside [-1, 1]
+    with pytest.raises(KernelDomain):
+        tab.mean_interaction(x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernels_reject_non_finite_parameters(bad):
+    with pytest.raises(DomainError):
+        KuramotoSin(bad)
+    with pytest.raises(DomainError):
+        OddTrig((1.0, bad))
+    with pytest.raises(DomainError):
+        TabulatedGradient(np.array([-7.0, 0.0, 7.0]), np.array([bad, 0.0, -1.0]))
+    with pytest.raises(DomainError):
+        TabulatedGradient(np.array([-7.0, 0.0, bad]), np.array([1.0, 0.0, -1.0]))
 
 
 def test_discrete_twisted_state_layout():
