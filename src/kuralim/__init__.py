@@ -47,7 +47,6 @@ from .circle import (
 )
 from .continuum import LabelField, cl_rhs, cl_simulate, manifold_field, twisted_field
 from .errors import (
-    BranchEvaluation,
     CflViolation,
     DomainError,
     DriftQuadrature,
@@ -72,7 +71,6 @@ from .meanfield import (
     spectral_rhs,
 )
 from .oa import (
-    OAFlowState,
     OAPoint,
     oa_cdf,
     oa_cell_averages,

@@ -127,6 +127,8 @@ def mfl_to_cl_circle(
     anchor flux.  ``drift_scale`` rescales the drift and exists for
     sensitivity controls; physical transforms use 1.0.
     """
+    if not np.isfinite(drift_scale):
+        raise DomainError(f"drift_scale must be finite, got {drift_scale!r}")
     if traj.drift is not None:
         drift = drift_scale * traj.drift
     else:

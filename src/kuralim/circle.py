@@ -127,6 +127,8 @@ class CircularDensity:
             raise DomainError(
                 f"density shape {vals.shape} does not match grid ({self.grid.n_cells},)"
             )
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("density values must be finite")
         if np.any(vals < -1e-12):
             raise DomainError("density has negative values beyond tolerance")
         object.__setattr__(self, "values", _readonly(vals))

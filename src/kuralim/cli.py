@@ -275,15 +275,10 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+    """Write a 2-D float table under ``header``, one ``%.16e`` cell per value."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        np.savetxt(fh, table, fmt="%.16e", delimiter=",", header=",".join(header), comments="")
 
 
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
@@ -371,29 +366,22 @@ def _cmd_simulate(args) -> int:
         simulate = ds_simulate if config.mode == "ds" else cl_simulate
         traj = simulate(initial, config.kernel, config.dt, config.t_end, config.output_every)
         header = ["t"] + [f"x_{j}" for j in range(config.size)]
-        rows = ([t, *state] for t, state in zip(traj.times, traj.states))
+        table = np.column_stack((traj.times, traj.states))
     elif config.mode == "mfl-grid":
         traj = mfl_simulate_grid(
             initial, config.kernel, config.dt, config.t_end, config.output_every
         )
         header = ["t"] + [f"f_{j}" for j in range(config.size)]
-        rows = ([t, *values] for t, values in zip(traj.times, traj.values))
+        table = np.column_stack((traj.times, traj.values))
     else:
         traj = mfl_simulate_spectral(initial, config.dt, config.t_end, config.output_every)
         header = ["t"]
         for n in range(1, config.size + 1):
             header += [f"re_c_{n}", f"im_c_{n}"]
+        # a complex row viewed as floats is re_c_1, im_c_1, re_c_2, ...
+        table = np.column_stack((traj.times, traj.states.view(float)))
 
-        def rows_spectral():
-            for t, modes in zip(traj.times, traj.states):
-                row = [float(t)]
-                for c in modes:
-                    row += [c.real, c.imag]
-                yield row
-
-        rows = rows_spectral()
-
-    _write_csv(output, header, rows)
+    _write_csv(output, header, table)
     _write_meta(output, config)
     return 0
 
@@ -418,21 +406,23 @@ def _cmd_transform(args) -> int:
     input_path = args.input or config.output
     if not input_path:
         raise ValidationError("no input trajectory: pass --input or set output in the config")
+    n_labels = config.size if args.n_labels is None else args.n_labels
+    if n_labels < 1:
+        raise ValidationError("--n-labels must be at least 1")
+    if not np.isfinite(args.drift_scale):
+        raise ValidationError("--drift-scale must be a finite number")
     traj = _read_density_csv(input_path, config.size)
-
-    n_labels = args.n_labels or config.size
     result = mfl_to_cl_circle(
         traj, config.kernel, LabelGrid(n_labels), drift_scale=args.drift_scale
     )
 
     output = args.output or os.path.splitext(input_path)[0] + ".transform.csv"
-    mids = result.label_grid.midpoints
-    rows = (
-        [t, mids[j], result.fields[k, j]]
-        for k, t in enumerate(result.times)
-        for j in range(n_labels)
-    )
-    _write_csv(output, ["t", "xi", "x"], rows)
+    table = np.column_stack((
+        np.repeat(result.times, n_labels),
+        np.tile(result.label_grid.midpoints, len(result.times)),
+        result.fields.ravel(),
+    ))
+    _write_csv(output, ["t", "xi", "x"], table)
 
     drift_path = os.path.splitext(output)[0] + ".drift.json"
     with open(drift_path, "w", newline="") as fh:
@@ -457,8 +447,8 @@ def _cmd_oa(args) -> int:
         density = oa_density(p, theta)
         cdf = oa_cdf(p, theta)
         quantile = oa_quantile(p, xi)
-        rows = zip(theta, density, cdf, xi, quantile)
-        _write_csv(args.output, ["theta", "density", "cdf", "xi", "quantile"], rows)
+        table = np.column_stack((theta, density, cdf, xi, quantile))
+        _write_csv(args.output, ["theta", "density", "cdf", "xi", "quantile"], table)
         return 0
 
     t_end = args.t
@@ -469,8 +459,9 @@ def _cmd_oa(args) -> int:
         raise ValidationError("--output-every must be positive")
     n_full, remainder = step_schedule(every, t_end)
     times = [k * every for k in range(n_full + 1)] + ([t_end] if remainder else [])
-    rows = ([t, p.alpha, oa_flow(p, t).beta] for t in times)
-    _write_csv(args.output, ["t", "alpha", "beta"], rows)
+    betas = [oa_flow(p, t).beta for t in times]
+    table = np.column_stack((times, np.full(len(times), p.alpha), betas))
+    _write_csv(args.output, ["t", "alpha", "beta"], table)
     return 0
 
 

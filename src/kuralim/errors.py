@@ -27,12 +27,6 @@ class EmptyMeasure(KuralimError, ValueError):
     """An empirical measure with no atoms."""
 
 
-class BranchEvaluation(KuralimError):
-    """A closed-form quantile branch could not be evaluated.  No current
-    code path raises it: the Ott-Antonsen quantile evaluates its tangent
-    poles in a pole-free form."""
-
-
 class KernelDomain(KuralimError):
     """A tabulated interaction kernel was queried outside its grid."""
 

@@ -60,14 +60,6 @@ class OAPoint:
         object.__setattr__(self, "beta", min(b, BETA_CAP))
 
 
-@dataclass(frozen=True)
-class OAFlowState:
-    """A family member together with the time at which it occurs."""
-
-    point: OAPoint
-    time: float
-
-
 def _poisson_denominator(p: OAPoint, psi):
     return 1.0 - 2.0 * p.beta * np.cos(psi) + p.beta * p.beta
 

@@ -65,6 +65,15 @@ def test_single_slice_transform_is_plain_quantile():
     assert np.max(np.abs(out.fields[0] - q(LabelGrid(128).midpoints))) < 1e-14
 
 
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_transform_rejects_non_finite_drift_scale(scale):
+    grid = ThetaGrid(16)
+    density = oa_cell_averages(OAPoint(0.4, 0.2), grid)
+    traj = DensityTrajectory(np.array([0.0]), density.values[None, :], grid)
+    with pytest.raises(DomainError, match="drift_scale"):
+        mfl_to_cl_circle(traj, KuramotoSin(), LabelGrid(8), drift_scale=scale)
+
+
 def test_uniform_run_transforms_to_identity_field():
     grid = ThetaGrid(128)
     uniform = CircularDensity(grid, np.full(128, 1.0 / TWO_PI))

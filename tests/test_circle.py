@@ -92,6 +92,15 @@ def test_circular_density_validation():
         CircularDensity(g, np.full(8, 1.0 / TWO_PI))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_circular_density_rejects_non_finite_values(bad):
+    # abs(nan - 1) > MASS_TOL is False, so the mass check alone lets NaN through
+    values = np.full(16, 1.0 / TWO_PI)
+    values[3] = bad
+    with pytest.raises(DomainError, match="finite"):
+        CircularDensity(ThetaGrid(16), values)
+
+
 def test_cdf_uniform_is_linear_and_node_exact():
     g = ThetaGrid(32)
     F = cdf_from_density(CircularDensity(g, np.full(32, 1.0 / TWO_PI)))

@@ -10,8 +10,26 @@ import numpy as np
 import pytest
 
 import kuralim
-from kuralim import KuramotoSin, OAPoint, OddTrig, ParseError, TabulatedGradient, ValidationError, oa_flow
-from kuralim.cli import parse_config, run_cli
+from kuralim import (
+    TWO_PI,
+    KuramotoSin,
+    LabelGrid,
+    OAPoint,
+    OddTrig,
+    ParseError,
+    TabulatedGradient,
+    ValidationError,
+    cl_simulate,
+    ds_simulate,
+    mfl_simulate_grid,
+    mfl_simulate_spectral,
+    mfl_to_cl_circle,
+    oa_cdf,
+    oa_density,
+    oa_flow,
+    oa_quantile,
+)
+from kuralim.cli import _build_initial, _read_density_csv, _write_csv, parse_config, run_cli
 
 NUMBER = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -202,6 +220,49 @@ def test_transform_writes_field_and_drift_sidecar(tmp_path):
     sidecar = json.loads((tmp_path / "g.transform.drift.json").read_text())
     assert sidecar["drift"][0] == 0.0
     assert len(sidecar["times"]) == 11
+
+
+def _grid_run(tmp_path):
+    """An 8-cell density run recorded every step, fine enough to transform."""
+    cfg = _write(
+        tmp_path,
+        "g.yaml",
+        "mode: mfl-grid\nn_cells: 8\nkernel: kuramoto\ndt: 0.01\nT: 0.05\noutput_every: 0.01\n"
+        f"initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--drift-scale", "nan"], "--drift-scale must be a finite number"),
+        (["--drift-scale", "inf"], "--drift-scale must be a finite number"),
+        (["--n-labels", "0"], "--n-labels must be at least 1"),
+        (["--n-labels", "-2"], "--n-labels must be at least 1"),
+    ],
+    ids=["drift-nan", "drift-inf", "labels-zero", "labels-negative"],
+)
+def test_transform_rejects_bad_arguments(tmp_path, capsys, args, message):
+    cfg = _grid_run(tmp_path)
+    assert run_cli(["transform", "--config", cfg, *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "g.transform.csv").exists()
+    assert not (tmp_path / "g.transform.drift.json").exists()
+
+
+def test_transform_rejects_non_finite_density(tmp_path, capsys):
+    cfg = _grid_run(tmp_path)
+    path = tmp_path / "g.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[3] = "nan"
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    assert run_cli(["transform", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: density values must be finite\n"
+    assert not (tmp_path / "g.transform.csv").exists()
 
 
 def test_transform_refuses_coarse_recording(tmp_path, capsys):
@@ -436,3 +497,121 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------ CSV bytes
+#
+# Every CSV writer hands one float table to ``_write_csv``.  The reference
+# below is the writer it replaced, fed with that writer's rows, so each
+# output keeps its bytes.
+
+
+def _frozen_fmt(x: float) -> str:
+    return f"{x:.16e}"
+
+
+def _frozen_write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_frozen_fmt(x) for x in row) + "\n")
+
+
+SIM_CONFIGS = {
+    "ds": "mode: ds\nN: 5\nkernel: {type: odd-trig, coefficients: [1.0, 0.3]}\n"
+    "initial: {type: uniform}\nseed: 3\n",
+    "cl": "mode: cl\nn_labels: 6\ninitial: {type: oa, alpha: 0.3, beta: 0.2, q: 1.0}\n",
+    "mfl-spectral": "mode: mfl-spectral\nn_modes: 4\ninitial: {type: oa, alpha: -0.7, beta: 0.3}\n",
+    "mfl-grid": "mode: mfl-grid\nn_cells: 8\nkernel: {type: kuramoto, coupling: 0.5}\n"
+    "initial: {type: oa, alpha: 0.4, beta: 0.2}\n",
+}
+
+
+def _per_float_rows(config):
+    """The header and row generator of the per-float simulate writer."""
+    initial = _build_initial(config)
+    schedule = (config.dt, config.t_end, config.output_every)
+    n = config.size
+    if config.mode in ("ds", "cl"):
+        simulate = ds_simulate if config.mode == "ds" else cl_simulate
+        traj = simulate(initial, config.kernel, *schedule)
+        header = ["t"] + [f"x_{j}" for j in range(n)]
+        return header, ([t, *state] for t, state in zip(traj.times, traj.states))
+    if config.mode == "mfl-grid":
+        traj = mfl_simulate_grid(initial, config.kernel, *schedule)
+        header = ["t"] + [f"f_{j}" for j in range(n)]
+        return header, ([t, *values] for t, values in zip(traj.times, traj.values))
+    traj = mfl_simulate_spectral(initial, *schedule)
+    header = ["t"] + [f"{part}_c_{k}" for k in range(1, n + 1) for part in ("re", "im")]
+
+    def rows_spectral():
+        for t, modes in zip(traj.times, traj.states):
+            row = [float(t)]
+            for c in modes:
+                row += [c.real, c.imag]
+            yield row
+
+    return header, rows_spectral()
+
+
+@pytest.mark.parametrize("mode", list(SIM_CONFIGS))
+def test_simulate_csv_bytes_match_per_float_writer(tmp_path, mode):
+    text = SIM_CONFIGS[mode] + "dt: 0.01\nT: 0.05\noutput_every: 0.02\n"
+    cfg = _write(tmp_path, "run.yaml", text)
+    assert run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "new.csv")]) == 0
+    _frozen_write_csv(tmp_path / "old.csv", *_per_float_rows(parse_config(text)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_transform_csv_bytes_match_per_float_writer(tmp_path):
+    cfg = _grid_run(tmp_path)
+    args = ["--n-labels", "5", "--drift-scale", "0.5", "--output", str(tmp_path / "new.csv")]
+    assert run_cli(["transform", "--config", cfg, *args]) == 0
+    traj = _read_density_csv(str(tmp_path / "g.csv"), 8)
+    result = mfl_to_cl_circle(traj, KuramotoSin(), LabelGrid(5), drift_scale=0.5)
+    mids = result.label_grid.midpoints
+    rows = (
+        [t, mids[j], result.fields[k, j]]
+        for k, t in enumerate(result.times)
+        for j in range(5)
+    )
+    _frozen_write_csv(tmp_path / "old.csv", ["t", "xi", "x"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_oa_csv_bytes_match_per_float_writer(tmp_path):
+    eval_args = ["--alpha", "0.5", "--beta", "0.4", "--n", "7", "--output", str(tmp_path / "eval.csv")]
+    assert run_cli(["oa", "eval", *eval_args]) == 0
+    p = OAPoint(0.5, 0.4)
+    theta = np.arange(8) * (TWO_PI / 7)
+    theta[-1] = TWO_PI
+    xi = np.arange(8) / 7
+    rows = zip(theta, oa_density(p, theta), oa_cdf(p, theta), xi, oa_quantile(p, xi))
+    _frozen_write_csv(tmp_path / "eval-old.csv", ["theta", "density", "cdf", "xi", "quantile"], rows)
+    assert (tmp_path / "eval.csv").read_bytes() == (tmp_path / "eval-old.csv").read_bytes()
+
+    flow_args = ["--alpha", "0.3", "--beta", "0.1", "--t", "0.25", "--output", str(tmp_path / "flow.csv")]
+    assert run_cli(["oa", "flow", *flow_args]) == 0
+    p = OAPoint(0.3, 0.1)
+    times = [k * 0.1 for k in range(3)] + [0.25]
+    rows = ([t, p.alpha, oa_flow(p, t).beta] for t in times)
+    _frozen_write_csv(tmp_path / "flow-old.csv", ["t", "alpha", "beta"], rows)
+    assert (tmp_path / "flow.csv").read_bytes() == (tmp_path / "flow-old.csv").read_bytes()
+
+
+def test_write_csv_special_values_match_per_float_writer(tmp_path):
+    tiny = 5e-324
+    table = np.array([
+        [0.0, -0.0, tiny, -tiny],
+        [2.2250738585072014e-308, -1e-310, 1e300, -1e300],
+        [1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf],
+        [np.nan, 1.0 / 3.0, -np.pi, 1e-5],
+    ])
+    _write_csv(str(tmp_path / "new.csv"), ["a", "b", "c", "d"], table)
+    _frozen_write_csv(tmp_path / "old.csv", ["a", "b", "c", "d"], table)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.splitlines()[1] == (
+        b"0.0000000000000000e+00,-0.0000000000000000e+00,"
+        b"4.9406564584124654e-324,-4.9406564584124654e-324"
+    )

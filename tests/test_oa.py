@@ -9,7 +9,6 @@ import pytest
 from scipy.integrate import quad
 
 from kuralim import (
-    BranchEvaluation,
     DomainError,
     OAPoint,
     ThetaGrid,
