@@ -55,6 +55,10 @@ INITIAL_TYPES = {
     "mfl-grid": ("uniform", "oa", "file"),
 }
 
+#: Most rows ``oa flow`` writes.  A longer schedule is refused before any
+#: recording time is built.
+MAX_OA_ROWS = 10**7
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -435,6 +439,29 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+def _oa_flow_times(every: float, t_end: float) -> np.ndarray:
+    """Recording times of ``oa flow``: the multiples of ``every`` up to
+    ``t_end``, then ``t_end`` itself if it is not one of them.
+
+    Raises :class:`ValidationError` when that would be more than
+    :data:`MAX_OA_ROWS` rows.
+    """
+    if t_end < 0:
+        raise ValidationError("--t must be nonnegative")
+    if every <= 0:
+        raise ValidationError("--output-every must be positive")
+    # At most t_end / every + 2 rows.  Checked before step_schedule, whose
+    # step count overflows once the ratio is infinite; a non-finite t_end
+    # is left to step_schedule's own check.
+    if t_end < np.inf and t_end / every > MAX_OA_ROWS - 2:
+        raise ValidationError(
+            f"--t / --output-every would record more than {MAX_OA_ROWS} rows"
+        )
+    n_full, remainder = step_schedule(every, t_end)
+    times = np.arange(n_full + 1) * every
+    return np.append(times, t_end) if remainder else times
+
+
 def _cmd_oa(args) -> int:
     p = OAPoint(args.alpha, args.beta)
     if args.oa_command == "eval":
@@ -451,14 +478,7 @@ def _cmd_oa(args) -> int:
         _write_csv(args.output, ["theta", "density", "cdf", "xi", "quantile"], table)
         return 0
 
-    t_end = args.t
-    if t_end < 0:
-        raise ValidationError("--t must be nonnegative")
-    every = args.output_every
-    if every <= 0:
-        raise ValidationError("--output-every must be positive")
-    n_full, remainder = step_schedule(every, t_end)
-    times = [k * every for k in range(n_full + 1)] + ([t_end] if remainder else [])
+    times = _oa_flow_times(args.output_every, args.t)
     betas = [oa_flow(p, t).beta for t in times]
     table = np.column_stack((times, np.full(len(times), p.alpha), betas))
     _write_csv(args.output, ["t", "alpha", "beta"], table)

@@ -212,10 +212,16 @@ def mfl_simulate_grid(
 
     Cell values are averages over ``[theta_j, theta_j + dtheta)``; the
     self-consistent velocity is integrated by the midpoint rule over cell
-    centers and evaluated at cell interfaces (the grid nodes).  The forward
-    Euler steps run through :func:`integrate_fixed`.  Every step checks the
-    CFL number against :data:`CFL_LIMIT` and raises :class:`CflViolation`
-    when the step size is too large for the current velocity field.  The
+    centers and evaluated at cell interfaces (the grid nodes) by
+    ``kernel.velocity_field``.  For kernels without an O(n) velocity form
+    (``TabulatedGradient``, ``OddTrig``) that keeps the n x n matrix of
+    ``phi`` at interfaces against centers for the whole run: n^2 doubles,
+    2 MB at 512 cells, up to :data:`~kuralim.particles.CACHE_VALUES`
+    (32 MB, 2048 cells).  Finer grids evaluate ``phi`` node by node on
+    every step, with the same bytes.  The forward Euler steps run through
+    :func:`integrate_fixed`.  Every step checks the CFL number against
+    :data:`CFL_LIMIT` and raises :class:`CflViolation` when the step size
+    is too large for the current velocity field.  The
     mass crossing the ``theta = 0`` interface is accumulated exactly as the
     run proceeds and stored per recorded time (see
     :class:`DensityTrajectory`).
@@ -227,8 +233,10 @@ def mfl_simulate_grid(
 
     # The state is the cell values followed by the mass that has crossed
     # the theta = 0 interface so far.
+    field = kernel.velocity_field(interfaces, centers)
+
     def velocity(y):
-        return kernel.circle_velocity(interfaces, centers, y[:-1] * dtheta)
+        return field(y[:-1] * dtheta)
 
     def upwind_step(velocity, y, h, t):
         f = y[:-1]

@@ -39,7 +39,8 @@ POLE_TOL = 1e-12
 class OAPoint:
     """A member of the density family: phase ``alpha``, concentration ``beta``.
 
-    ``alpha`` is wrapped into ``[-pi, pi)``; ``beta`` must lie in
+    ``alpha`` is kept as given inside ``[-pi, pi)`` and wrapped into it
+    otherwise; ``beta`` must lie in
     ``[0, 1]`` and is clamped to at most ``BETA_CAP``.  Values above one
     are rejected.
     """
@@ -55,7 +56,10 @@ class OAPoint:
             raise DomainError(f"beta must not exceed 1, got {self.beta!r}")
         if not np.isfinite(float(self.alpha)):
             raise DomainError(f"alpha must be finite, got {self.alpha!r}")
-        a = float(wrap_pm_pi(float(self.alpha)))
+        a = float(self.alpha)
+        if not -np.pi <= a < np.pi:
+            # only out-of-range values: the wrap moves in-range ones by an ulp
+            a = float(wrap_pm_pi(a))
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", min(b, BETA_CAP))
 

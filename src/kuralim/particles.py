@@ -60,6 +60,12 @@ class ParticleState:
 # Values of phi evaluated at once by the generic mean interaction.
 BLOCK_VALUES = 1 << 16
 
+# Largest theta x nodes matrix of phi values that the generic velocity_field
+# keeps for the life of the callable it returns (2^22 doubles, 32 MB).
+# Larger node sets evaluate phi node by node on every call instead, which
+# gives the same bytes.
+CACHE_VALUES = 1 << 22
+
 
 def _check_finite(name: str, values) -> None:
     if not np.all(np.isfinite(values)):
@@ -70,10 +76,11 @@ class InteractionKernel:
     """Pairwise interaction ``phi(x, y)`` plus the reductions built on it.
 
     Subclasses override :meth:`phi`, which broadcasts over array
-    arguments; the generic mean/velocity reductions here are O(N^2) and
-    exact, and the trigonometric kernels replace them with O(N)
-    order-parameter forms (identical real-arithmetic identities, so they
-    agree to rounding).
+    arguments.  The generic reductions here are O(N^2): the mean
+    interaction is exact, and the transport velocity is one dot product
+    per node.  ``KuramotoSin`` replaces both with O(N) order-parameter
+    forms and ``OddTrig`` replaces the mean interaction only (identical
+    real-arithmetic identities, so they agree to rounding).
     """
 
     def phi(self, x, y):
@@ -94,6 +101,21 @@ class InteractionKernel:
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         out = np.array([np.dot(self.phi(t, nodes), masses) for t in th])
         return out if np.ndim(theta) else float(out[0])
+
+    def velocity_field(self, theta: np.ndarray, nodes: np.ndarray):
+        """``masses -> circle_velocity(theta, nodes, masses)`` for fixed nodes.
+
+        ``phi`` at the 1-d ``theta`` against ``nodes`` does not depend on
+        the masses, so the returned callable evaluates it once, as a
+        matrix, and takes one ``np.dot`` per row on each call: the same
+        bytes as :meth:`circle_velocity`.  (``rows @ masses`` would sum in
+        another order and change last bits.)  Above :data:`CACHE_VALUES`
+        matrix entries it calls :meth:`circle_velocity` instead.
+        """
+        if np.size(theta) * np.size(nodes) > CACHE_VALUES:
+            return lambda masses: self.circle_velocity(theta, nodes, masses)
+        rows = self.phi(np.asarray(theta, dtype=float)[:, None], nodes[None, :])
+        return lambda masses: np.array([np.dot(r, masses) for r in rows])
 
 
 @dataclass(frozen=True)
@@ -119,6 +141,10 @@ class KuramotoSin(InteractionKernel):
         z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
         out = self.coupling * (z * np.exp(-1j * np.asarray(theta, dtype=float))).imag
         return out if np.ndim(theta) else float(out)
+
+    def velocity_field(self, theta, nodes):
+        # O(N) per call from the order parameter; no matrix to keep.
+        return lambda masses: self.circle_velocity(theta, nodes, masses)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,14 @@ from kuralim import (
     oa_flow,
     oa_quantile,
 )
-from kuralim.cli import _build_initial, _read_density_csv, _write_csv, parse_config, run_cli
+from kuralim.cli import (
+    _build_initial,
+    _oa_flow_times,
+    _read_density_csv,
+    _write_csv,
+    parse_config,
+    run_cli,
+)
 
 NUMBER = re.compile(r"-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -321,6 +328,32 @@ def test_oa_flow_rejects_non_finite_time(tmp_path, capsys, t_end):
     out = tmp_path / "flow.csv"
     assert run_cli(["oa", "flow", "--alpha", "0.3", "--beta", "0.1", "--t", t_end, "--output", str(out)]) == 2
     assert "error: final time must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "every, t_end", [(1e-300, 1.0), (1e-300, 1e300), (1e-7, 1.0), (1.0, 1e300), (5e-324, 1.0)]
+)
+def test_oa_flow_refuses_schedules_over_the_row_limit(every, t_end):
+    # checked on the pair alone: none of these schedules is ever built
+    with pytest.raises(ValidationError, match="more than 10000000 rows"):
+        _oa_flow_times(every, t_end)
+
+
+def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("kuralim.cli.MAX_OA_ROWS", 10)
+    assert len(_oa_flow_times(1.0, 8.0)) == 9
+    assert len(_oa_flow_times(1.0, 7.5)) == 9
+    with pytest.raises(ValidationError):
+        _oa_flow_times(1.0, 8.5)
+    out = tmp_path / "flow.csv"
+    args = ["oa", "flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output", str(out)]
+    assert run_cli(args + ["--output-every", "0.125"]) == 0
+    assert len(out.read_text().splitlines()) == 10  # header + 9 rows
+    out.unlink()
+    assert run_cli(args + ["--output-every", "0.1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from kuralim import particles
 from kuralim import (
     CflViolation,
     CircularDensity,
@@ -295,6 +296,20 @@ def test_grid_solver_matches_frozen_loop_bitwise(kernel, t_end, output_every, n_
     assert run.values.tobytes() == values.tobytes()
     assert run.drift.tobytes() == drift.tobytes()
     assert len(run) == n_rows
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [OddTrig((1.0, 0.3, 0.1)), TabulatedGradient(_OFFSETS, -np.sin(_OFFSETS), periodic=True)],
+    ids=["odd-trig", "tabulated"],
+)
+def test_grid_solver_same_bytes_past_the_velocity_cache_limit(monkeypatch, kernel):
+    initial = oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(64))
+    cached = mfl_simulate_grid(initial, kernel, 0.01, 0.47, output_every=0.04)
+    monkeypatch.setattr(particles, "CACHE_VALUES", 64 * 64 - 1)
+    per_node = mfl_simulate_grid(initial, kernel, 0.01, 0.47, output_every=0.04)
+    assert per_node.values.tobytes() == cached.values.tobytes()
+    assert per_node.drift.tobytes() == cached.drift.tobytes()
 
 
 def test_grid_rejects_zero_dt():

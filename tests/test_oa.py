@@ -43,6 +43,16 @@ def test_point_wraps_alpha_and_caps_beta():
         OAPoint(np.nan, 0.5)
 
 
+@pytest.mark.parametrize(
+    "alpha, expected",
+    [(0.3, 0.3), (-0.7, -0.7), (-np.pi, -np.pi), (np.pi, -np.pi), (4.0, float(wrap_pm_pi(4.0)))],
+)
+def test_point_keeps_in_range_alpha_and_wraps_the_rest(alpha, expected):
+    # wrapping 0.3 through mod(alpha + pi, 2 pi) - pi would give 0.2999999999999998
+    a = OAPoint(alpha, 0.1).alpha
+    assert a == expected and -np.pi <= a < np.pi
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.2, 0.5), (-2.0, 0.9)])
 def test_density_normalized(alpha, beta):
     p = OAPoint(alpha, beta)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kuralim import particles
 from kuralim import (
     DomainError,
     InteractionKernel,
@@ -227,3 +228,40 @@ def test_to_empirical_uniform_weights():
     m = to_empirical(discrete_twisted_state(5, 1))
     assert np.allclose(m.weights, 0.2)
     assert m.space == "circle"
+
+
+_TABLE = np.linspace(-np.pi, np.pi, 65)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1)), KuramotoSin()],
+    ids=["tabulated", "odd-trig", "sin"],
+)
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "per-node"])
+def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, cached):
+    # Both sides of the cache limit: the matrix has n * n entries.
+    monkeypatch.setattr(particles, "CACHE_VALUES", n * n if cached else n * n - 1)
+    calls = []
+    phi = type(kernel).phi
+
+    def counting_phi(self, x, y):
+        calls.append(np.shape(x))
+        return phi(self, x, y)
+
+    monkeypatch.setattr(type(kernel), "phi", counting_phi)
+    interfaces = np.arange(n) * (TWO_PI / n)
+    centers = interfaces + 0.5 * (TWO_PI / n)
+    generic = not isinstance(kernel, KuramotoSin)
+    field = kernel.velocity_field(interfaces, centers)
+    # one matrix on the cached side; KuramotoSin builds none
+    assert calls == ([(n, 1)] if generic and cached else [])
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        masses = rng.random(n) / n
+        expected = kernel.circle_velocity(interfaces, centers, masses)
+        calls.clear()
+        assert np.array_equal(field(masses), expected)
+        # the matrix is reused; the fallback evaluates phi once per node
+        assert len(calls) == (n if generic and not cached else 0)
