@@ -21,10 +21,7 @@ from .bridge import (
     BridgeResult,
     accumulate_drift,
     anchor_flux_series,
-    cl_to_measure,
-    measure_to_field,
     mfl_to_cl_circle,
-    pushforward_check,
 )
 from .circle import (
     TWO_PI,
@@ -39,8 +36,6 @@ from .circle import (
     empirical_quantile,
     label_distance,
     quantile_from_cdf,
-    w1_circle,
-    w1_line,
     wrap_angle,
     wrap_label,
     wrap_pm_pi,
@@ -76,11 +71,9 @@ from .oa import (
     oa_cell_averages,
     oa_density,
     oa_flow,
-    oa_mean_sine,
     oa_partials,
     oa_quantile,
     oa_shift,
-    oa_vector_field,
     poisson_circular_moment,
 )
 from .particles import (
@@ -90,9 +83,7 @@ from .particles import (
     ParticleState,
     TabulatedGradient,
     discrete_twisted_state,
-    ds_rhs,
     ds_simulate,
-    to_empirical,
 )
 from .verify import (
     NEGATIVE_CONTROLS,

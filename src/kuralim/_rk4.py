@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import DomainError, NonFinite
 
+#: Most steps a schedule may hold; at about 40 us per RK4 step that is
+#: over 11 hours of stepping.
+MAX_STEPS = 10**9
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -49,14 +53,18 @@ def step_schedule(dt: float, t_end: float) -> tuple[int, float]:
     """Number of full steps plus an optional remainder step covering t_end.
 
     Returns ``(n_full, remainder)`` with ``remainder == 0.0`` whenever
-    ``t_end`` is an integer multiple of ``dt`` up to rounding.
+    ``t_end`` is an integer multiple of ``dt`` up to rounding.  Raises
+    :class:`DomainError` for a schedule of more than :data:`MAX_STEPS`
+    steps.
     """
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise DomainError(f"dt must be positive and finite, got {dt}")
     if not 0.0 <= t_end < np.inf:
         raise DomainError(f"final time must be finite and nonnegative, got {t_end}")
     if t_end == 0.0:
         return 0, 0.0
+    if not t_end / dt <= MAX_STEPS:
+        raise DomainError(f"final time {t_end} / dt {dt} is more than {MAX_STEPS} steps")
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
     if remainder <= 1e-9 * max(1.0, abs(t_end)):
@@ -120,11 +128,13 @@ def record_stride(dt: float, output_every: float | None) -> int:
 
     ``output_every / dt`` is rounded to the nearest whole number of steps
     (ties to even, at least 1): 0.015 with ``dt = 0.01`` records every 0.02.
+    A stride past :data:`MAX_STEPS` is cut to ``MAX_STEPS + 1``, which like
+    any longer one records only the first and last states.
     """
     if output_every is None:
         return 1
-    if output_every <= 0:
+    if not output_every > 0:
         raise DomainError(f"output_every must be positive, got {output_every}")
     if not dt > 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
-    return max(1, int(round(output_every / dt)))
+    return max(1, int(round(min(output_every / dt, MAX_STEPS + 1))))

@@ -17,16 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (
-    CircularDensity,
-    EmpiricalMeasure,
-    LabelGrid,
-    cdf_from_density,
-    empirical_quantile,
-    quantile_from_cdf,
-    wrap_angle,
-    wrap_label,
-)
+from .circle import LabelGrid, cdf_from_density, quantile_from_cdf, wrap_angle, wrap_label
 from .continuum import LabelField
 from .errors import DomainError, DriftQuadrature
 from .meanfield import DensityTrajectory
@@ -37,22 +28,6 @@ from .particles import InteractionKernel
 DRIFT_QUAD_TOL = 1e-6
 
 
-def cl_to_measure(field: LabelField) -> EmpiricalMeasure:
-    """Uniformly weighted empirical measure of a label field."""
-    n = field.n_labels
-    return EmpiricalMeasure(field.values, np.full(n, 1.0 / n), field.space)
-
-
-def measure_to_field(measure: EmpiricalMeasure, label_grid: LabelGrid) -> LabelField:
-    """Quantile coupling: the label field whose law is the given measure.
-
-    This is the line-case bridge; it also serves circle measures with the
-    CDF anchored at angle 0.
-    """
-    values = empirical_quantile(measure, label_grid.midpoints)
-    return LabelField(label_grid, values, measure.space)
-
-
 def anchor_flux_series(traj: DensityTrajectory, kernel: InteractionKernel) -> np.ndarray:
     """Mass flux through angle 0 at each recorded time of a density run.
 
@@ -60,11 +35,10 @@ def anchor_flux_series(traj: DensityTrajectory, kernel: InteractionKernel) -> np
     adjacent cells, second-order accurate there.
     """
     grid = traj.grid
-    centers = grid.nodes + 0.5 * grid.spacing
+    field = kernel.velocity_field(np.zeros(1), grid.nodes + 0.5 * grid.spacing)
     flux = np.empty(len(traj))
     for k, f in enumerate(traj.values):
-        v0 = kernel.circle_velocity(0.0, centers, f * grid.spacing)
-        flux[k] = v0 * 0.5 * (f[0] + f[-1])
+        flux[k] = field(f * grid.spacing)[0] * 0.5 * (f[0] + f[-1])
     return flux
 
 
@@ -142,26 +116,3 @@ def mfl_to_cl_circle(
         fields[k] = wrap_angle(quantile(w))
     return BridgeResult(traj.times.copy(), fields, drift, label_grid)
 
-
-def pushforward_check(
-    density: CircularDensity, field_values: np.ndarray, max_harmonic: int = 8
-) -> float:
-    """Largest harmonic mismatch between a density and a label field.
-
-    Density moments are midpoint rectangle sums, so they are spectrally
-    accurate when the stored values are smooth midpoint samples and second
-    order when they are cell averages.  The field side is the empirical
-    moment of the values.  Small output means the field's law is the
-    density.
-    """
-    if max_harmonic < 1:
-        raise DomainError("max_harmonic must be at least 1")
-    x = np.asarray(field_values, dtype=float)
-    grid = density.grid
-    centers = grid.nodes + 0.5 * grid.spacing
-    worst = 0.0
-    for k in range(1, max_harmonic + 1):
-        density_side = np.sum(density.values * np.exp(-1j * k * centers)) * grid.spacing
-        empirical = np.mean(np.exp(-1j * k * x))
-        worst = max(worst, abs(empirical - density_side))
-    return worst

@@ -1,4 +1,4 @@
-"""Circle geometry, grids, densities, CDFs, quantiles, and Wasserstein-1.
+"""Circle geometry, grids, densities, CDFs and quantiles.
 
 Angles are plain floats in radians; the canonical representative lives in
 ``[0, 2*pi)`` and is produced by :func:`wrap_angle`.  Labels (quantile
@@ -18,7 +18,7 @@ angle zero: ``F(theta) = mass of [0, theta]``, so ``F(0) = 0`` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -283,50 +283,3 @@ def empirical_quantile(m: EmpiricalMeasure, xi):
     out = pos[idx]
     return out if out.ndim else float(out)
 
-
-def w1_line(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Wasserstein-1 distance between atomic measures on the real line.
-
-    Computed exactly as the L1 distance of the two CDFs,
-    ``int |F_mu(x) - F_nu(x)| dx``, which is piecewise constant between
-    consecutive atoms of either measure.
-    """
-    if mu.space != "line" or nu.space != "line":
-        raise DomainError("w1_line expects measures on the real line")
-    xs = np.sort(np.concatenate((mu.positions, nu.positions)), kind="mergesort")
-
-    def cdf(m: EmpiricalMeasure) -> np.ndarray:
-        order = np.argsort(m.positions)
-        cum = np.concatenate(([0.0], np.cumsum(m.weights[order])))
-        return cum[np.searchsorted(m.positions[order], xs[:-1], side="right")] / cum[-1]
-
-    return float(np.dot(np.abs(cdf(mu) - cdf(nu)), np.diff(xs)))
-
-
-def w1_circle(mu: EmpiricalMeasure, nu: EmpiricalMeasure) -> float:
-    """Wasserstein-1 distance between atomic measures on the circle.
-
-    Uses the cut-shift formulation: for CDFs anchored at angle zero,
-    ``W1 = min_c int_0^{2*pi} |F_mu(x) - F_nu(x) - c| dx``, minimized
-    exactly by a weighted median of the CDF difference over the
-    atom-induced segments.  The candidate shifts are therefore scanned at
-    the atom breakpoints; the result never exceeds ``pi``.
-    """
-    if mu.space != "circle" or nu.space != "circle":
-        raise DomainError("w1_circle expects measures on the circle")
-    pos = np.concatenate([mu.positions, nu.positions])
-    jump = np.concatenate(
-        [mu.weights / mu.weights.sum(), -nu.weights / nu.weights.sum()]
-    )
-    order = np.argsort(pos, kind="stable")
-    xs = pos[order]
-    diff = np.cumsum(jump[order])
-    # Segment k runs from xs[k] to xs[k+1] (wrapping at the end) and carries
-    # the constant CDF difference diff[k].
-    seg = np.empty_like(xs)
-    seg[:-1] = np.diff(xs)
-    seg[-1] = TWO_PI - xs[-1] + xs[0]
-    med_order = np.argsort(diff, kind="stable")
-    csum = np.cumsum(seg[med_order])
-    median = diff[med_order][np.searchsorted(csum, 0.5 * csum[-1], side="left")]
-    return float(np.sum(np.abs(diff - median) * seg))

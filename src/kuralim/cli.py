@@ -170,7 +170,8 @@ def _check_initial(spec, mode, problems) -> dict:
     spec = dict(spec)
     if kind == "twisted":
         m = spec.get("m")
-        if not isinstance(m, int) or isinstance(m, bool):
+        # m is used as a float, so a winding past the float range is refused
+        if not isinstance(m, int) or isinstance(m, bool) or abs(m) > sys.float_info.max:
             problems.append("twisted initial needs integer winding m")
     if kind == "oa":
         alpha = spec["alpha"] = _finite_number(spec.get("alpha"))
@@ -450,9 +451,8 @@ def _oa_flow_times(every: float, t_end: float) -> np.ndarray:
         raise ValidationError("--t must be nonnegative")
     if every <= 0:
         raise ValidationError("--output-every must be positive")
-    # At most t_end / every + 2 rows.  Checked before step_schedule, whose
-    # step count overflows once the ratio is infinite; a non-finite t_end
-    # is left to step_schedule's own check.
+    # At most t_end / every + 2 rows, a tighter limit than step_schedule's
+    # own MAX_STEPS.  A non-finite t_end or every is left to step_schedule.
     if t_end < np.inf and t_end / every > MAX_OA_ROWS - 2:
         raise ValidationError(
             f"--t / --output-every would record more than {MAX_OA_ROWS} rows"

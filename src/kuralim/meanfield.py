@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk4 import Trajectory, integrate_fixed, record_stride
-from .circle import TWO_PI, CircularDensity, ThetaGrid
+from .circle import CircularDensity, ThetaGrid
 from .errors import CflViolation, DomainError, TailBlowup
 from .oa import OAPoint
 from .particles import InteractionKernel
@@ -58,10 +58,6 @@ class FourierDensity:
         m.flags.writeable = False
         object.__setattr__(self, "modes", m)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
-
     @classmethod
     def from_oa(cls, point: OAPoint, n_modes: int) -> "FourierDensity":
         """Wrapped-Cauchy coefficients ``c_n = (beta exp(i alpha))^n``."""
@@ -69,25 +65,6 @@ class FourierDensity:
             raise DomainError("need at least one mode")
         a = point.beta * np.exp(1j * point.alpha)
         return cls(a ** np.arange(1, n_modes + 1))
-
-    def to_grid(self, grid: ThetaGrid) -> CircularDensity:
-        """Exact cell averages of the truncated series.
-
-        Averaging ``exp(i n theta)`` over a cell multiplies it by
-        ``exp(i n h / 2) * sinc(n h / 2)``, so the averages come out in
-        closed form.  Requires more cells than modes so that no retained
-        mode aliases into the sampled mass.
-        """
-        if grid.n_cells <= self.n_modes:
-            raise DomainError(
-                "grid must have more cells than the density has modes"
-            )
-        n = np.arange(1, self.n_modes + 1)
-        half = 0.5 * n * grid.spacing
-        avg = self.modes * np.exp(1j * half) * np.sin(half) / half
-        phases = np.exp(1j * np.outer(grid.nodes, n))
-        values = (1.0 + 2.0 * (phases @ avg).real) / TWO_PI
-        return CircularDensity(grid, values)
 
 
 def order_parameter(density) -> complex:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, LabelGrid, ThetaGrid, CircularDensity, wrap_pm_pi
+from .circle import TWO_PI, ThetaGrid, CircularDensity, wrap_pm_pi
 from .errors import DomainError
 
 #: Concentrations at least this close to 1 are clamped at construction.
@@ -183,11 +183,6 @@ def oa_partials(p: OAPoint, theta):
     return df_dalpha, df_dbeta, df_dtheta, float(dc_dalpha), float(dc_dbeta)
 
 
-def oa_vector_field(p: OAPoint) -> tuple[float, float]:
-    """Reduced dynamics ``(d alpha/dt, d beta/dt)`` on the family."""
-    return 0.0, 0.5 * p.beta * (1.0 - p.beta**2)
-
-
 def oa_flow(p: OAPoint, t: float) -> OAPoint:
     """Closed-form flow of the reduced dynamics after time ``t``.
 
@@ -219,14 +214,3 @@ def poisson_circular_moment(p: OAPoint) -> complex:
     b = p.beta
     return TWO_PI * b * np.exp(-1j * p.alpha) / (1.0 - b * b)
 
-
-def oa_mean_sine(p: OAPoint, theta):
-    """Mean sine interaction felt at ``theta`` under the family density.
-
-    Closed form of ``int sin(u - theta) f(u) du = -beta * sin(alpha + theta)``,
-    which is also the midpoint-quadrature limit of
-    ``int_0^1 sin(Q(z) - theta) dz`` for the family quantile Q.
-    """
-    th = np.asarray(theta, dtype=float)
-    out = -p.beta * np.sin(p.alpha + th)
-    return out if out.ndim else float(out)

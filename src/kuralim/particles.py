@@ -19,7 +19,7 @@ import numpy as np
 
 from ._reduce import exact_mean_complex, exact_row_sums
 from ._rk4 import Trajectory, integrate_fixed, record_stride
-from .circle import TWO_PI, EmpiricalMeasure, wrap_angle
+from .circle import TWO_PI, wrap_angle
 from .errors import DomainError, KernelDomain
 
 
@@ -96,11 +96,9 @@ class InteractionKernel:
             out[start:start + step] = exact_row_sums(self.phi(x, positions)) / n
         return out
 
-    def circle_velocity(self, theta, nodes: np.ndarray, masses: np.ndarray):
-        """Transport velocity ``sum_k phi(theta, y_k) m_k`` of a mass vector."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.array([np.dot(self.phi(t, nodes), masses) for t in th])
-        return out if np.ndim(theta) else float(out[0])
+    def circle_velocity(self, theta: np.ndarray, nodes: np.ndarray, masses: np.ndarray):
+        """Transport velocity ``sum_k phi(t, y_k) m_k`` at each angle ``t`` of ``theta``."""
+        return np.array([np.dot(self.phi(t, nodes), masses) for t in theta])
 
     def velocity_field(self, theta: np.ndarray, nodes: np.ndarray):
         """``masses -> circle_velocity(theta, nodes, masses)`` for fixed nodes.
@@ -139,8 +137,7 @@ class KuramotoSin(InteractionKernel):
 
     def circle_velocity(self, theta, nodes, masses):
         z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
-        out = self.coupling * (z * np.exp(-1j * np.asarray(theta, dtype=float))).imag
-        return out if np.ndim(theta) else float(out)
+        return self.coupling * (z * np.exp(-1j * theta)).imag
 
     def velocity_field(self, theta, nodes):
         # O(N) per call from the order parameter; no matrix to keep.
@@ -219,14 +216,6 @@ class TabulatedGradient(InteractionKernel):
         return np.interp(d, self.offsets, self.values)
 
 
-def ds_rhs(state: ParticleState, kernel: InteractionKernel) -> np.ndarray:
-    """Right-hand side of the finite system at the given state."""
-    drift = kernel.mean_interaction(state.positions)
-    if state.frequencies is not None:
-        drift = state.frequencies + drift
-    return drift
-
-
 def _simulate_positions(
     y0: np.ndarray,
     kernel: InteractionKernel,
@@ -280,8 +269,3 @@ def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:
         raise DomainError("need at least one particle")
     return ParticleState(wrap_angle(TWO_PI * np.arange(n) * m / n + q))
 
-
-def to_empirical(state: ParticleState) -> EmpiricalMeasure:
-    """Uniformly weighted empirical measure of the particle positions."""
-    n = state.n
-    return EmpiricalMeasure(state.positions, np.full(n, 1.0 / n), state.space)

@@ -9,49 +9,26 @@ from kuralim import (
     DensityTrajectory,
     DomainError,
     DriftQuadrature,
-    EmpiricalMeasure,
     KuramotoSin,
     LabelGrid,
     OAPoint,
+    OddTrig,
+    TabulatedGradient,
     ThetaGrid,
     cdf_from_density,
     circle_distance,
     cl_simulate,
-    cl_to_measure,
-    measure_to_field,
     mfl_simulate_grid,
     mfl_to_cl_circle,
     oa_cell_averages,
-    oa_density,
     oa_flow,
-    oa_quantile,
     oa_shift,
-    pushforward_check,
     quantile_from_cdf,
-    twisted_field,
-    w1_circle,
+    wrap_label,
 )
-from kuralim.bridge import accumulate_drift
+from kuralim.bridge import accumulate_drift, anchor_flux_series
 
 TWO_PI = 2.0 * np.pi
-
-
-def test_cl_to_measure_uniform_weights():
-    f = twisted_field(LabelGrid(5), 1)
-    m = cl_to_measure(f)
-    assert np.allclose(m.weights, 0.2)
-    assert np.array_equal(m.positions, f.values)
-
-
-def test_measure_to_field_line_quantiles():
-    atoms = np.linspace(-2.0, 2.0, 9)
-    m = EmpiricalMeasure(atoms, np.full(9, 1.0 / 9.0), "line")
-    f = measure_to_field(m, LabelGrid(9))
-    assert f.space == "line"
-    assert np.array_equal(f.values, atoms)  # midpoint labels pick each atom once
-    # translating the measure translates the field exactly
-    shifted = measure_to_field(EmpiricalMeasure(atoms + 0.3, np.full(9, 1.0 / 9.0), "line"), LabelGrid(9))
-    assert np.array_equal(shifted.values, atoms + 0.3)
 
 
 def test_single_slice_transform_is_plain_quantile():
@@ -134,20 +111,73 @@ def test_fallback_quadrature_agrees_with_stored_drift():
     assert np.max(circle_distance(a.fields, b.fields)) < 2e-2
 
 
+def _frozen_anchor_flux(traj, kernel):
+    """The anchor flux as it was: the scalar velocity at angle 0 from
+    ``circle_velocity``, one ``phi`` per recorded time."""
+    grid = traj.grid
+    centers = grid.nodes + 0.5 * grid.spacing
+    flux = np.empty(len(traj))
+    for k, f in enumerate(traj.values):
+        masses = f * grid.spacing
+        if isinstance(kernel, KuramotoSin):
+            z = complex(np.dot(masses, np.cos(centers)), np.dot(masses, np.sin(centers)))
+            v0 = float(kernel.coupling * (z * np.exp(-1j * np.asarray(0.0))).imag)
+        else:
+            v0 = float(np.dot(kernel.phi(np.float64(0.0), centers), masses))
+        flux[k] = v0 * 0.5 * (f[0] + f[-1])
+    return flux
+
+
+_TABLE = np.linspace(-np.pi, np.pi, 65)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        KuramotoSin(),
+        KuramotoSin(1.7),
+        OddTrig((1.0, 0.3, 0.1)),
+        TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True),
+    ],
+    ids=["sin", "sin-1.7", "odd-trig", "tabulated"],
+)
+@pytest.mark.parametrize("n", [64, 512])
+def test_anchor_flux_matches_scalar_loop_bitwise(monkeypatch, kernel, n):
+    run = mfl_simulate_grid(oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(n)), kernel, 0.002, 0.02)
+    calls = []
+    phi = type(kernel).phi
+
+    def counting_phi(self, x, y):
+        calls.append(np.shape(x))
+        return phi(self, x, y)
+
+    monkeypatch.setattr(type(kernel), "phi", counting_phi)
+    flux = anchor_flux_series(run, kernel)
+    # one row of phi for the whole trajectory; KuramotoSin needs none
+    assert calls == ([] if isinstance(kernel, KuramotoSin) else [(1, 1)])
+    monkeypatch.undo()
+    assert flux.tobytes() == _frozen_anchor_flux(run, kernel).tobytes()
+
+
 def test_transform_round_trip_w1():
-    # MFL -> CL -> measure reproduces the density to O(1/n_labels)
+    # MFL -> CL reproduces the density to O(1/n_labels).  The field is the
+    # density's quantile read at the drift-shifted labels; read it instead
+    # at the labels shifted by the nearest whole number of labels, which
+    # samples the density's quantile at the plain label grid, relabeled.
+    # Pairing the two is a coupling of their uniform empirical measures, so
+    # its mean cost bounds the Wasserstein-1 distance between them.
     p0 = OAPoint(0.3, 0.25)
     run = mfl_simulate_grid(oa_cell_averages(p0, ThetaGrid(256)), KuramotoSin(), 0.01, 1.0, output_every=0.5)
     dists = {}
     for n_labels in (128, 256):
+        labels = LabelGrid(n_labels).midpoints
         out = mfl_to_cl_circle(run, KuramotoSin(), LabelGrid(n_labels))
         worst = 0.0
         for k in range(len(run.times)):
-            q = quantile_from_cdf(cdf_from_density(CircularDensity(run.grid, run.values[k])))
-            reference = EmpiricalMeasure(
-                q(LabelGrid(n_labels).midpoints), np.full(n_labels, 1.0 / n_labels)
-            )
-            worst = max(worst, w1_circle(cl_to_measure(out.field(k)), reference))
+            q = quantile_from_cdf(cdf_from_density(run.density(k)))
+            whole = np.round(out.drift[k] * n_labels) / n_labels
+            reference = q(wrap_label(labels + whole))
+            worst = max(worst, np.mean(circle_distance(out.fields[k], reference)))
         dists[n_labels] = worst
     assert dists[128] < 0.1
     assert dists[256] < 0.75 * dists[128]
@@ -180,19 +210,3 @@ def test_drift_scale_knob():
     q = quantile_from_cdf(cdf_from_density(CircularDensity(grid, run.values[-1])))
     assert np.max(np.abs(frozen.fields[-1] - q(labels))) < 1e-14
 
-
-def test_pushforward_check_accuracy_classes():
-    p = OAPoint(0.7, 0.4)
-    g = ThetaGrid(1024)
-    labels = LabelGrid(1024).midpoints
-    field = oa_quantile(p, labels)
-    centers = g.nodes + 0.5 * g.spacing
-    smooth = CircularDensity(g, oa_density(p, centers))
-    assert pushforward_check(smooth, field) < 1e-10  # spectral for smooth samples
-    assert pushforward_check(oa_cell_averages(p, g), field) < 1e-5  # second order
-    uniform = CircularDensity(g, np.full(1024, 1.0 / TWO_PI))
-    assert pushforward_check(uniform, TWO_PI * labels) < 1e-12
-    mismatched = twisted_field(LabelGrid(1024), 1).values
-    assert pushforward_check(smooth, mismatched) > 0.01
-    with pytest.raises(DomainError):
-        pushforward_check(smooth, field, max_harmonic=0)

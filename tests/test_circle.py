@@ -1,9 +1,7 @@
-"""Circle geometry, grids, CDF/quantile inversion, and Wasserstein-1."""
+"""Circle geometry, grids, and CDF/quantile inversion."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.optimize import linprog
-from scipy.stats import wasserstein_distance
 
 from kuralim import (
     CdfFn,
@@ -23,8 +21,6 @@ from kuralim import (
     oa_cdf,
     oa_cell_averages,
     quantile_from_cdf,
-    w1_circle,
-    w1_line,
     wrap_angle,
     wrap_label,
     wrap_pm_pi,
@@ -204,95 +200,6 @@ def test_empirical_quantile_sorts_atoms():
     m = EmpiricalMeasure(np.array([3.0, 1.0, 2.0]), np.full(3, 1.0 / 3.0), "line")
     out = empirical_quantile(m, np.array([0.2, 0.5, 0.9]))
     assert np.array_equal(out, [1.0, 2.0, 3.0])
-
-
-def test_w1_line_hand_values():
-    a = EmpiricalMeasure(np.array([0.0]), np.array([1.0]), "line")
-    b = EmpiricalMeasure(np.array([1.0]), np.array([1.0]), "line")
-    assert np.isclose(w1_line(a, b), 1.0)
-    # shifting a measure moves it by exactly the shift
-    pts = np.array([0.0, 0.3, 2.0])
-    w = np.array([0.2, 0.5, 0.3])
-    mu = EmpiricalMeasure(pts, w, "line")
-    nu = EmpiricalMeasure(pts + 0.7, w, "line")
-    assert np.isclose(w1_line(mu, nu), 0.7)
-    with pytest.raises(DomainError):
-        w1_line(mu, EmpiricalMeasure(np.array([0.0]), np.array([1.0])))
-
-
-def _line_measure(atoms):
-    pos = np.array([x for x, _ in atoms], dtype=float)
-    w = np.array([w for _, w in atoms])
-    return EmpiricalMeasure(pos, w / w.sum(), "line")
-
-
-# small integers give tied atoms, within and across the two measures
-LINE_ATOMS = st.lists(
-    st.tuples(st.integers(-3, 3) | st.floats(-1e3, 1e3), st.floats(0.01, 1.0)),
-    min_size=1,
-    max_size=20,
-)
-
-
-@given(LINE_ATOMS, LINE_ATOMS)
-def test_w1_line_matches_scipy_bitwise(a, b):
-    mu, nu = _line_measure(a), _line_measure(b)
-    expected = wasserstein_distance(mu.positions, nu.positions, mu.weights, nu.weights)
-    assert w1_line(mu, nu) == float(expected)
-
-
-def test_w1_circle_hand_values():
-    one = lambda x: EmpiricalMeasure(np.array([x]), np.array([1.0]))
-    assert np.isclose(w1_circle(one(0.0), one(np.pi)), np.pi)
-    # going the short way around: 0.2, not 2*pi - 0.2
-    assert np.isclose(w1_circle(one(0.1), one(TWO_PI - 0.1)), 0.2)
-    quarter = EmpiricalMeasure(np.arange(4) * np.pi / 2, np.full(4, 0.25))
-    rotated = EmpiricalMeasure(np.arange(4) * np.pi / 2 + 0.1, np.full(4, 0.25))
-    assert np.isclose(w1_circle(quarter, rotated), 0.1)
-    assert w1_circle(quarter, quarter) == 0.0
-
-
-def _w1_circle_lp(mu, nu):
-    """Independent oracle: optimal transport as a linear program."""
-    cost = circle_distance(mu.positions[:, None], nu.positions[None, :])
-    m, n = cost.shape
-    a_eq = []
-    for i in range(m):
-        row = np.zeros(m * n)
-        row[i * n : (i + 1) * n] = 1.0
-        a_eq.append(row)
-    for j in range(n - 1):  # last column constraint is redundant
-        row = np.zeros(m * n)
-        row[j::n] = 1.0
-        a_eq.append(row)
-    b_eq = np.concatenate([mu.weights, nu.weights[:-1]])
-    res = linprog(cost.ravel(), A_eq=np.array(a_eq), b_eq=b_eq, bounds=(0, None))
-    assert res.success
-    return res.fun
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_w1_circle_matches_linear_program(seed):
-    rng = np.random.default_rng(seed)
-    mu = EmpiricalMeasure(rng.uniform(0, TWO_PI, 4), _rand_weights(rng, 4))
-    nu = EmpiricalMeasure(rng.uniform(0, TWO_PI, 5), _rand_weights(rng, 5))
-    assert np.isclose(w1_circle(mu, nu), _w1_circle_lp(mu, nu), atol=1e-10)
-
-
-def _rand_weights(rng, n):
-    w = rng.uniform(0.1, 1.0, n)
-    return w / w.sum()
-
-
-@given(st.integers(0, 10_000))
-def test_w1_circle_symmetry_and_identity(seed):
-    rng = np.random.default_rng(seed)
-    mu = EmpiricalMeasure(rng.uniform(0, TWO_PI, 3), _rand_weights(rng, 3))
-    nu = EmpiricalMeasure(rng.uniform(0, TWO_PI, 3), _rand_weights(rng, 3))
-    d = w1_circle(mu, nu)
-    assert d >= 0.0
-    assert np.isclose(d, w1_circle(nu, mu), atol=1e-12)
-    assert d <= np.pi + 1e-12
 
 
 def test_cdf_fn_validation():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,14 @@ def test_readme_simulate_example_runs(tmp_path, monkeypatch):
     assert run_cli(["simulate", "--config", "run.yaml"]) == 0
     rows = np.loadtxt("run.csv", delimiter=",", skiprows=1)
     assert rows.shape == (11, 257)
+
+
+def test_readme_quick_tour_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(tour, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("OAPoint(")
 
 
 def test_parse_rejects_oa_beta_outside_unit_disc():
@@ -338,6 +347,54 @@ def test_oa_flow_refuses_schedules_over_the_row_limit(every, t_end):
     # checked on the pair alone: none of these schedules is ever built
     with pytest.raises(ValidationError, match="more than 10000000 rows"):
         _oa_flow_times(every, t_end)
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+@pytest.mark.parametrize("dt, t_end", [("1e-300", "1e300"), ("1e-300", "1")], ids=["overflow", "too-long"])
+def test_simulate_refuses_schedules_past_max_steps(tmp_path, capsys, dt, t_end):
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: ds\nN: 4\ndt: {dt}\nT: {t_end}\ninitial: {{type: twisted, m: 1}}\n"
+        f"output: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "steps" in _single_error_line(capsys)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_oa_flow_refuses_infinite_output_interval(tmp_path, capsys):
+    out = tmp_path / "flow.csv"
+    args = ["oa", "flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", "inf"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert run_cli(args + ["--output", str(out)]) == 2
+    assert "dt must be positive and finite" in _single_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels")])
+def test_twisted_winding_past_float_range_exits_two(tmp_path, capsys, mode, size_key):
+    def run(m):
+        cfg = _write(
+            tmp_path,
+            "run.yaml",
+            f"mode: {mode}\n{size_key}: 4\ndt: 0.01\nT: 0.02\n"
+            f"initial: {{type: twisted, m: {m}}}\noutput: {tmp_path}/out.csv\n",
+        )
+        return run_cli(["simulate", "--config", cfg])
+
+    assert run(10**300) == 0
+    (tmp_path / "out.csv").unlink()
+    for m in (10**400, -(10**400)):
+        assert run(m) == 2
+        assert "integer winding m" in _single_error_line(capsys)
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch):

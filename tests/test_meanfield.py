@@ -45,23 +45,6 @@ def test_from_oa_modes_are_geometric():
     assert np.allclose(d.modes, a ** np.arange(1, 7), atol=1e-15)
 
 
-def test_to_grid_reproduces_cell_averages():
-    # the mode sum integrated cell by cell must match averages computed
-    # from the exact distribution function
-    p = OAPoint(-0.4, 0.2)
-    grid = ThetaGrid(256)
-    from_modes = FourierDensity.from_oa(p, 64).to_grid(grid)
-    exact = oa_cell_averages(p, grid)
-    assert np.max(np.abs(from_modes.values - exact.values)) < 1e-13
-    assert abs(np.sum(from_modes.values) * grid.spacing - 1.0) < 1e-13
-
-
-def test_to_grid_refuses_aliasing():
-    d = FourierDensity.from_oa(OAPoint(0.0, 0.3), 64)
-    with pytest.raises(DomainError):
-        d.to_grid(ThetaGrid(64))
-
-
 def test_order_parameter_dispatch():
     p = OAPoint(1.2, 0.35)
     spec = FourierDensity.from_oa(p, 8)

@@ -16,11 +16,9 @@ from kuralim import (
     oa_cell_averages,
     oa_density,
     oa_flow,
-    oa_mean_sine,
     oa_partials,
     oa_quantile,
     oa_shift,
-    oa_vector_field,
     poisson_circular_moment,
     wrap_pm_pi,
 )
@@ -167,11 +165,6 @@ def test_partials_against_central_differences():
     assert dft == oa_density(OAPoint(2.0, 0.1), 0.2)
 
 
-def test_vector_field_closed_form():
-    assert oa_vector_field(OAPoint(0.7, 0.4)) == (0.0, 0.4 * (1 - 0.16) / 2.0)
-    assert oa_vector_field(OAPoint(0.0, 0.0)) == (0.0, 0.0)
-
-
 def test_flow_matches_rk4():
     p0 = OAPoint(1.1, 0.25)
     rhs = lambda y: y * (1.0 - y**2) / 2.0
@@ -206,13 +199,6 @@ def test_poisson_moment_against_quadrature():
         kernel = np.exp(1j * u) / (1.0 - 2.0 * beta * np.cos(alpha + u) + beta**2)
         numeric = np.mean(kernel) * TWO_PI
         assert abs(poisson_circular_moment(OAPoint(alpha, beta)) - numeric) < 1e-12
-
-
-def test_mean_sine_against_quadrature():
-    for alpha, beta, theta in [(0.4, 0.3, 1.0), (-1.0, 0.8, 5.0), (2.2, 0.0, 0.7)]:
-        p = OAPoint(alpha, beta)
-        num, _ = quad(lambda u: np.sin(u - theta) * oa_density(p, u), 0.0, TWO_PI, limit=200)
-        assert abs(oa_mean_sine(p, theta) - num) < 1e-10
 
 
 def test_cell_averages_have_exact_mass():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kuralim import particles
+from kuralim._rk4 import MAX_STEPS, record_stride, step_schedule
 from kuralim import (
     DomainError,
     InteractionKernel,
@@ -14,9 +15,7 @@ from kuralim import (
     ParticleState,
     TabulatedGradient,
     discrete_twisted_state,
-    ds_rhs,
     ds_simulate,
-    to_empirical,
     wrap_angle,
 )
 
@@ -44,8 +43,10 @@ def test_two_particle_rhs_hand_value():
     # positions (0, d): each particle averages over both, self term zero,
     # so the speeds are +-sin(d)/2
     s = ParticleState(np.array([0.0, np.pi / 2]))
-    assert np.allclose(ds_rhs(s, KuramotoSin()), [0.5, -0.5], atol=1e-15)
-    assert np.allclose(ds_rhs(s, KuramotoSin(coupling=2.0)), [1.0, -1.0], atol=1e-15)
+    assert np.allclose(KuramotoSin().mean_interaction(s.positions), [0.5, -0.5], atol=1e-15)
+    assert np.allclose(
+        KuramotoSin(coupling=2.0).mean_interaction(s.positions), [1.0, -1.0], atol=1e-15
+    )
 
 
 def test_fast_path_matches_generic_reduction():
@@ -125,6 +126,36 @@ def test_simulate_rejects_bad_horizon():
         ds_simulate(s, KuramotoSin(), 0.5, 0.1)
     with pytest.raises(DomainError):
         ds_simulate(s, KuramotoSin(), -0.1, 1.0)
+
+
+@pytest.mark.parametrize("dt, t_end", [(1e-300, 1e300), (1e-300, 1.0), (5e-324, 1.0), (1e-9, 2.0)])
+def test_step_schedule_refuses_more_than_max_steps(dt, t_end):
+    # checked on the pair alone: none of these schedules is ever run
+    with pytest.raises(DomainError, match="steps"):
+        step_schedule(dt, t_end)
+
+
+@pytest.mark.parametrize("dt", [np.inf, np.nan])
+def test_step_schedule_refuses_bad_dt(dt):
+    with pytest.raises(DomainError, match="dt must be positive and finite"):
+        step_schedule(dt, 1.0)
+
+
+def test_step_schedule_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr("kuralim._rk4.MAX_STEPS", 8)
+    assert step_schedule(0.125, 1.0) == (8, 0.0)
+    with pytest.raises(DomainError):
+        step_schedule(0.125, 1.01)
+
+
+def test_record_stride_past_max_steps_keeps_first_and_last():
+    assert record_stride(1e-310, 0.1) == MAX_STEPS + 1  # 0.1 / 1e-310 is inf
+    assert record_stride(0.01, 1e300) == MAX_STEPS + 1
+    with pytest.raises(DomainError):
+        record_stride(0.01, np.nan)
+    s = ParticleState(np.array([0.0, 1.0]))
+    traj = ds_simulate(s, KuramotoSin(), 1e-310, 4e-310, output_every=0.1)
+    assert len(traj.times) == 2
 
 
 def test_output_every_controls_recording():
@@ -221,13 +252,7 @@ def test_discrete_twisted_state_layout():
 def test_twisted_states_are_equilibria():
     for m in (0, 1, 2):
         s = discrete_twisted_state(64, m)
-        assert np.max(np.abs(ds_rhs(s, KuramotoSin()))) < 1e-15
-
-
-def test_to_empirical_uniform_weights():
-    m = to_empirical(discrete_twisted_state(5, 1))
-    assert np.allclose(m.weights, 0.2)
-    assert m.space == "circle"
+        assert np.max(np.abs(KuramotoSin().mean_interaction(s.positions))) < 1e-15
 
 
 _TABLE = np.linspace(-np.pi, np.pi, 65)
