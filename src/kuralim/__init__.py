@@ -35,7 +35,6 @@ from .circle import (
     circle_distance,
     empirical_quantile,
     label_distance,
-    quantile_from_cdf,
     wrap_angle,
     wrap_label,
     wrap_pm_pi,

@@ -9,7 +9,6 @@ stages never see a branch-cut discontinuity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,10 +35,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    @cached_property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def rk4_step(rhs, y, dt: float):
     k1 = rhs(y)
@@ -53,7 +48,9 @@ def step_schedule(dt: float, t_end: float) -> tuple[int, float]:
     """Number of full steps plus an optional remainder step covering t_end.
 
     Returns ``(n_full, remainder)`` with ``remainder == 0.0`` whenever
-    ``t_end`` is an integer multiple of ``dt`` up to rounding.  Raises
+    ``t_end`` is an integer multiple of ``dt`` up to rounding: a remainder
+    of at most ``1e-9 * dt`` or four ulps of ``t_end`` is dropped, so the
+    tolerance scales with the step and not with the final time.  Raises
     :class:`DomainError` for a schedule of more than :data:`MAX_STEPS`
     steps.
     """
@@ -67,7 +64,7 @@ def step_schedule(dt: float, t_end: float) -> tuple[int, float]:
         raise DomainError(f"final time {t_end} / dt {dt} is more than {MAX_STEPS} steps")
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
-    if remainder <= 1e-9 * max(1.0, abs(t_end)):
+    if remainder <= max(1e-9 * dt, 4 * np.spacing(t_end)):
         remainder = 0.0
     return n_full, remainder
 

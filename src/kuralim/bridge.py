@@ -1,9 +1,9 @@
 """Quantile transform between density descriptions and label fields.
 
-On the line the bridge is plain quantile coupling: the label field of a
-measure is its quantile evaluated at the label.  On the circle the CDF
-needs an anchor (we integrate from angle 0), and mass transported across
-the anchor relabels the quantile.  Tracking the anchor flux
+The label field of a circle density is its quantile evaluated at the
+label.  The CDF needs an anchor (we integrate from angle 0), and mass
+transported across the anchor relabels the quantile.  Tracking the
+anchor flux
 
     J(t) = v_t(0) f_t(0),    S(t) = integral_0^t J(s) ds
 
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import LabelGrid, cdf_from_density, quantile_from_cdf, wrap_angle, wrap_label
-from .continuum import LabelField
+from .circle import LabelGrid, QuantileFn, cdf_from_density, wrap_angle, wrap_label
 from .errors import DomainError, DriftQuadrature
 from .meanfield import DensityTrajectory
 from .particles import InteractionKernel
@@ -78,12 +77,6 @@ class BridgeResult:
     drift: np.ndarray
     label_grid: LabelGrid
 
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def field(self, index: int) -> LabelField:
-        return LabelField(self.label_grid, self.fields[index])
-
 
 def mfl_to_cl_circle(
     traj: DensityTrajectory,
@@ -111,7 +104,7 @@ def mfl_to_cl_circle(
 
     fields = np.empty((len(traj), label_grid.n_labels))
     for k in range(len(traj)):
-        quantile = quantile_from_cdf(cdf_from_density(traj.density(k)))
+        quantile = QuantileFn(cdf_from_density(traj.density(k)))
         w = wrap_label(label_grid.midpoints + drift[k])
         fields[k] = wrap_angle(quantile(w))
     return BridgeResult(traj.times.copy(), fields, drift, label_grid)

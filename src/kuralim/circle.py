@@ -34,7 +34,7 @@ TWO_PI = 2.0 * np.pi
 
 #: Mass tolerance accepted before renormalization.
 MASS_TOL = 1e-8
-#: Per-cell CDF increment below which a cell counts as flat in strict mode.
+#: Smallest per-cell CDF increment a quantile accepts; a flatter cell is refused.
 FLAT_TOL = 1e-10
 
 
@@ -220,24 +220,19 @@ def cdf_from_density(f: CircularDensity) -> CdfFn:
 
 @dataclass(frozen=True)
 class QuantileFn:
-    """Generalized inverse ``xi -> inf{theta : F(theta) >= xi}`` of a grid CDF.
+    """Inverse ``xi -> theta`` with ``F(theta) = xi`` of a grid CDF.
 
-    Evaluation is a binary search over the monotone grid values followed by
-    linear interpolation inside the located cell.  In strict mode the
-    construction refuses CDFs with a flat cell (increment below
-    ``FLAT_TOL``); non-strict mode implements the pseudo-inverse, which
-    jumps across flat stretches.
+    Evaluation is a binary search over the grid values followed by linear
+    interpolation inside the located cell.  Construction refuses a CDF
+    with a flat cell (increment below ``FLAT_TOL``), so every cell has a
+    positive slope to divide by.
     """
 
     cdf: CdfFn
-    strict: bool = True
 
     def __post_init__(self):
-        if self.strict and np.any(np.diff(self.cdf.values) < FLAT_TOL):
-            raise NotStrictlyMonotone(
-                f"CDF has a cell increment below {FLAT_TOL}; "
-                "use strict=False for the pseudo-inverse"
-            )
+        if np.any(np.diff(self.cdf.values) < FLAT_TOL):
+            raise NotStrictlyMonotone(f"CDF has a cell increment below {FLAT_TOL}")
 
     def __call__(self, xi):
         x = np.asarray(xi, dtype=float)
@@ -246,22 +241,11 @@ class QuantileFn:
         x = np.clip(x, 0.0, 1.0)
         F = self.cdf.values
         nodes = self.cdf.nodes
-        idx = np.searchsorted(F, x, side="left")
-        idx = np.clip(idx, 0, len(F) - 1)
-        lo = np.maximum(idx - 1, 0)
-        f_lo, f_hi = F[lo], F[idx]
-        th_lo, th_hi = nodes[lo], nodes[idx]
-        denom = f_hi - f_lo
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t = np.where(denom > 0, (x - f_lo) / np.where(denom > 0, denom, 1.0), 1.0)
-        out = th_lo + np.clip(t, 0.0, 1.0) * (th_hi - th_lo)
-        out = np.where(idx == 0, nodes[0], out)
+        hi = np.clip(np.searchsorted(F, x, side="left"), 1, len(F) - 1)
+        lo = hi - 1
+        t = (x - F[lo]) / (F[hi] - F[lo])
+        out = nodes[lo] + np.clip(t, 0.0, 1.0) * (nodes[hi] - nodes[lo])
         return out if out.ndim else float(out)
-
-
-def quantile_from_cdf(F: CdfFn, strict: bool = True) -> QuantileFn:
-    """Invert a grid CDF.  See :class:`QuantileFn` for the semantics."""
-    return QuantileFn(F, strict)
 
 
 def empirical_quantile(m: EmpiricalMeasure, xi):

@@ -55,8 +55,8 @@ INITIAL_TYPES = {
     "mfl-grid": ("uniform", "oa", "file"),
 }
 
-#: Most rows ``oa flow`` writes.  A longer schedule is refused before any
-#: recording time is built.
+#: Most rows ``oa eval`` and ``oa flow`` write.  A longer table is refused
+#: before any of it is built.
 MAX_OA_ROWS = 10**7
 
 
@@ -468,6 +468,8 @@ def _cmd_oa(args) -> int:
         n = args.n
         if n < 1:
             raise ValidationError("--n must be at least 1")
+        if n + 1 > MAX_OA_ROWS:
+            raise ValidationError(f"--n would record more than {MAX_OA_ROWS} rows")
         theta = np.arange(n + 1) * (TWO_PI / n)
         theta[-1] = TWO_PI
         xi = np.arange(n + 1) / n

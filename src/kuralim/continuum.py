@@ -24,28 +24,21 @@ from .particles import InteractionKernel, _simulate_positions
 
 @dataclass(frozen=True)
 class LabelField:
-    """Field values sampled at the midpoints of a label grid."""
+    """Circle-valued field sampled at the midpoints of a label grid, stored
+    as canonical representatives in ``[0, 2*pi)``."""
 
     grid: LabelGrid
     values: np.ndarray
-    space: str = "circle"
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
+        vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_labels,):
             raise DomainError(
                 f"values shape {vals.shape} does not match {self.grid.n_labels} labels"
             )
-        if self.space not in ("circle", "line"):
-            raise DomainError(f"unknown space {self.space!r}")
-        if self.space == "circle":
-            vals = wrap_angle(vals)
+        vals = wrap_angle(vals)  # a new array, never the caller's
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def n_labels(self) -> int:
-        return self.grid.n_labels
 
 
 def cl_rhs(field: LabelField, kernel: InteractionKernel) -> np.ndarray:
@@ -66,10 +59,7 @@ def cl_simulate(
     continuum run and a finite run with matching initial values produce
     bitwise identical trajectories.
     """
-    return _simulate_positions(
-        field.values, kernel, None, dt, t_end, output_every,
-        circle=field.space == "circle",
-    )
+    return _simulate_positions(field.values, kernel, dt, t_end, output_every)
 
 
 def twisted_field(grid: LabelGrid, m: int, q: float = 0.0) -> LabelField:

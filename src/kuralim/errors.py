@@ -20,7 +20,7 @@ class NonNormalized(KuralimError):
 
 
 class NotStrictlyMonotone(KuralimError):
-    """Strict quantile inversion requested on a CDF with a flat cell."""
+    """Quantile inversion requested on a CDF with a flat cell."""
 
 
 class EmptyMeasure(KuralimError, ValueError):

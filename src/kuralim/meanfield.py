@@ -11,9 +11,9 @@ closes the hierarchy
 
     dc_n/dt = (n/2) (c_1 c_{n-1} - conj(c_1) c_{n+1}),
 
-truncated at ``n_modes`` either by zeroing ``c_{N+1}`` or by the
-geometric tail ``c_{N+1} = c_N c_1`` that is exact on the invariant
-family of wrapped-Cauchy densities (where ``c_n = (beta e^{i alpha})^n``).
+truncated at ``n_modes`` by setting ``c_{N+1} = 0``.  On the invariant
+family of wrapped-Cauchy densities (where ``c_n = (beta e^{i alpha})^n``)
+the dropped coefficient has magnitude ``beta^{N+1}``.
 
 Grid route (any kernel): first-order finite volumes on cells
 ``[theta_j, theta_{j+1})`` with local Lax-Friedrichs interface fluxes and
@@ -86,16 +86,11 @@ def order_parameter(density) -> complex:
     raise DomainError(f"unsupported density type {type(density).__name__}")
 
 
-def spectral_rhs(modes: np.ndarray, oa_tail: bool = False) -> np.ndarray:
-    """Mode velocities of the sine-coupled hierarchy.
-
-    ``oa_tail`` selects the geometric tail closure ``c_{N+1} = c_N c_1``
-    instead of plain truncation.
-    """
+def spectral_rhs(modes: np.ndarray) -> np.ndarray:
+    """Mode velocities of the sine-coupled hierarchy truncated by ``c_{N+1} = 0``."""
     c1 = modes[0]
-    tail = modes[-1] * c1 if oa_tail else 0.0j
     lower = np.concatenate(([1.0 + 0.0j], modes[:-1]))
-    upper = np.concatenate((modes[1:], [tail]))
+    upper = np.concatenate((modes[1:], [0.0j]))
     n = np.arange(1, len(modes) + 1)
     return 0.5 * n * (c1 * lower - np.conj(c1) * upper)
 
@@ -105,7 +100,6 @@ def mfl_simulate_spectral(
     dt: float,
     t_end: float,
     output_every: float | None = None,
-    oa_tail: bool = False,
 ) -> Trajectory:
     """Fixed-step RK4 evolution of the truncated mode hierarchy.
 
@@ -114,9 +108,6 @@ def mfl_simulate_spectral(
     ``TAIL_LIMIT``, which signals that the truncation is no longer
     meaningful.
     """
-    def rhs(c):
-        return spectral_rhs(c, oa_tail=oa_tail)
-
     def check_tail(c, step, t):
         if abs(c[-1]) > TAIL_LIMIT:
             raise TailBlowup(
@@ -125,7 +116,7 @@ def mfl_simulate_spectral(
             )
 
     return integrate_fixed(
-        rhs,
+        spectral_rhs,
         initial.modes,
         dt,
         t_end,
@@ -172,10 +163,6 @@ class DensityTrajectory:
 
     def density(self, index: int) -> CircularDensity:
         return CircularDensity(self.grid, self.values[index])
-
-    @property
-    def final(self) -> CircularDensity:
-        return self.density(len(self) - 1)
 
 
 def mfl_simulate_grid(

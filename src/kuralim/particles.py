@@ -1,6 +1,6 @@
 """Finite ensembles of interacting phase oscillators.
 
-The system is ``dx_i/dt = omega_i + (1/N) * sum_j phi(x_i, x_j)`` with the
+The system is ``dx_i/dt = (1/N) * sum_j phi(x_i, x_j)`` with the
 self term ``j == i`` included (it vanishes for odd kernels).  Interaction
 kernels follow the Kuramoto sign convention ``phi(x, y) = K sin(y - x)``,
 i.e. positive coupling is attractive, and the gradient-shape hypothesis
@@ -25,36 +25,18 @@ from .errors import DomainError, KernelDomain
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Positions (and optional natural frequencies) of ``N`` oscillators.
-
-    ``space`` is ``"circle"`` (positions stored as canonical
-    representatives in ``[0, 2*pi)``) or ``"line"`` (raw reals).
-    """
+    """Positions of ``N`` oscillators, stored as canonical circle
+    representatives in ``[0, 2*pi)``."""
 
     positions: np.ndarray
-    frequencies: np.ndarray | None = None
-    space: str = "circle"
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).copy()
+        pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size == 0:
             raise DomainError("positions must be a nonempty 1-d array")
-        if self.space not in ("circle", "line"):
-            raise DomainError(f"unknown space {self.space!r}")
-        if self.space == "circle":
-            pos = wrap_angle(pos)
+        pos = wrap_angle(pos)  # a new array, never the caller's
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
-        if self.frequencies is not None:
-            freq = np.asarray(self.frequencies, dtype=float).copy()
-            if freq.shape != pos.shape:
-                raise DomainError("frequencies must match positions in shape")
-            freq.flags.writeable = False
-            object.__setattr__(self, "frequencies", freq)
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
 
 
 # Values of phi evaluated at once by the generic mean interaction.
@@ -183,8 +165,9 @@ class TabulatedGradient(InteractionKernel):
     given by linear interpolation of samples.
 
     ``offsets`` must be strictly increasing.  With ``periodic=True`` the
-    offset is wrapped into the base window (circle use); otherwise
-    querying outside the window raises :class:`KernelDomain` (line use).
+    offset is wrapped into the base window; otherwise the table must cover
+    every offset, and querying outside the window raises
+    :class:`KernelDomain`.
     """
 
     offsets: np.ndarray
@@ -219,27 +202,19 @@ class TabulatedGradient(InteractionKernel):
 def _simulate_positions(
     y0: np.ndarray,
     kernel: InteractionKernel,
-    frequencies: np.ndarray | None,
     dt: float,
     t_end: float,
     output_every: float | None,
-    circle: bool,
 ) -> Trajectory:
     # Single integration path shared by the finite system and the
     # continuum-limit solver: identical inputs give identical bytes.
-    if frequencies is None:
-        rhs = kernel.mean_interaction
-    else:
-        def rhs(y):
-            return frequencies + kernel.mean_interaction(y)
-
     return integrate_fixed(
-        rhs,
+        kernel.mean_interaction,
         y0,
         dt,
         t_end,
         record_every=record_stride(dt, output_every),
-        wrap=wrap_angle if circle else None,
+        wrap=wrap_angle,
     )
 
 
@@ -257,10 +232,7 @@ def ds_simulate(
     (``None`` records every step); the initial and final states are always
     recorded.
     """
-    return _simulate_positions(
-        state.positions, kernel, state.frequencies, dt, t_end, output_every,
-        circle=state.space == "circle",
-    )
+    return _simulate_positions(state.positions, kernel, dt, t_end, output_every)
 
 
 def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:

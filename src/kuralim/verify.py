@@ -23,11 +23,11 @@ from .bridge import mfl_to_cl_circle
 from .circle import (
     TWO_PI,
     LabelGrid,
+    QuantileFn,
     ThetaGrid,
     cdf_from_density,
     circle_distance,
     label_distance,
-    quantile_from_cdf,
     wrap_angle,
     wrap_label,
 )
@@ -302,7 +302,7 @@ def verify_bridge(
     label_grid = LabelGrid(n_labels)
     transformed = mfl_to_cl_circle(density_traj, kernel, label_grid, drift_scale)
 
-    quantile0 = quantile_from_cdf(cdf_from_density(initial))
+    quantile0 = QuantileFn(cdf_from_density(initial))
     field0 = LabelField(label_grid, quantile0(label_grid.midpoints))
     label_traj = cl_simulate(field0, kernel, dt, t_end, output_every=dt)
 

@@ -10,9 +10,11 @@ from kuralim import (
     DomainError,
     DriftQuadrature,
     KuramotoSin,
+    LabelField,
     LabelGrid,
     OAPoint,
     OddTrig,
+    QuantileFn,
     TabulatedGradient,
     ThetaGrid,
     cdf_from_density,
@@ -23,7 +25,6 @@ from kuralim import (
     oa_cell_averages,
     oa_flow,
     oa_shift,
-    quantile_from_cdf,
     wrap_label,
 )
 from kuralim.bridge import accumulate_drift, anchor_flux_series
@@ -38,7 +39,7 @@ def test_single_slice_transform_is_plain_quantile():
     traj = DensityTrajectory(np.array([0.0]), density.values[None, :], grid)
     out = mfl_to_cl_circle(traj, KuramotoSin(), LabelGrid(128))
     assert out.drift[0] == 0.0
-    q = quantile_from_cdf(cdf_from_density(density))
+    q = QuantileFn(cdf_from_density(density))
     assert np.max(np.abs(out.fields[0] - q(LabelGrid(128).midpoints))) < 1e-14
 
 
@@ -174,7 +175,7 @@ def test_transform_round_trip_w1():
         out = mfl_to_cl_circle(run, KuramotoSin(), LabelGrid(n_labels))
         worst = 0.0
         for k in range(len(run.times)):
-            q = quantile_from_cdf(cdf_from_density(run.density(k)))
+            q = QuantileFn(cdf_from_density(run.density(k)))
             whole = np.round(out.drift[k] * n_labels) / n_labels
             reference = q(wrap_label(labels + whole))
             worst = max(worst, np.mean(circle_distance(out.fields[k], reference)))
@@ -192,7 +193,7 @@ def test_transform_tracks_direct_label_dynamics():
     n = 256
     run = mfl_simulate_grid(oa_cell_averages(p0, ThetaGrid(n)), KuramotoSin(), 0.01, t_end, output_every=0.25)
     out = mfl_to_cl_circle(run, KuramotoSin(), LabelGrid(n))
-    start = out.field(0)
+    start = LabelField(LabelGrid(n), out.fields[0])
     direct = cl_simulate(start, KuramotoSin(), 0.01, t_end, output_every=0.25)
     sup = max(
         np.max(circle_distance(out.fields[k], np.asarray(direct.states[k])))
@@ -207,6 +208,6 @@ def test_drift_scale_knob():
     frozen = mfl_to_cl_circle(run, KuramotoSin(), LabelGrid(64), drift_scale=0.0)
     assert np.all(frozen.drift == 0.0)
     labels = LabelGrid(64).midpoints
-    q = quantile_from_cdf(cdf_from_density(CircularDensity(grid, run.values[-1])))
+    q = QuantileFn(cdf_from_density(CircularDensity(grid, run.values[-1])))
     assert np.max(np.abs(frozen.fields[-1] - q(labels))) < 1e-14
 

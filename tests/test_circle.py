@@ -1,7 +1,7 @@
 """Circle geometry, grids, and CDF/quantile inversion."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kuralim import (
     CdfFn,
@@ -13,6 +13,7 @@ from kuralim import (
     NonNormalized,
     NotStrictlyMonotone,
     OAPoint,
+    QuantileFn,
     ThetaGrid,
     cdf_from_density,
     circle_distance,
@@ -20,11 +21,11 @@ from kuralim import (
     label_distance,
     oa_cdf,
     oa_cell_averages,
-    quantile_from_cdf,
     wrap_angle,
     wrap_label,
     wrap_pm_pi,
 )
+from kuralim.circle import FLAT_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -129,7 +130,7 @@ def test_quantile_inverts_cdf_at_nodes_exactly():
     p = OAPoint(-1.1, 0.55)
     g = ThetaGrid(128)
     F = cdf_from_density(oa_cell_averages(p, g))
-    Q = quantile_from_cdf(F)
+    Q = QuantileFn(F)
     # piecewise-linear inverse hits the nodes bit for bit
     assert np.array_equal(Q(F.values), F.nodes)
 
@@ -138,14 +139,14 @@ def test_quantile_round_trip_interior():
     p = OAPoint(0.4, 0.2)
     g = ThetaGrid(512)
     F = cdf_from_density(oa_cell_averages(p, g))
-    Q = quantile_from_cdf(F)
+    Q = QuantileFn(F)
     xi = np.linspace(0.0, 1.0, 1001)
     assert np.max(np.abs(F(Q(xi)) - xi)) < 1e-14
 
 
 def test_quantile_rejects_outside_unit_interval():
     g = ThetaGrid(8)
-    Q = quantile_from_cdf(cdf_from_density(CircularDensity(g, np.full(8, 1.0 / TWO_PI))))
+    Q = QuantileFn(cdf_from_density(CircularDensity(g, np.full(8, 1.0 / TWO_PI))))
     with pytest.raises(DomainError):
         Q(1.5)
 
@@ -156,11 +157,46 @@ def test_strict_quantile_refuses_flat_cell():
     vals = vals / (vals.sum() * g.spacing)
     F = cdf_from_density(CircularDensity(g, vals))
     with pytest.raises(NotStrictlyMonotone):
-        quantile_from_cdf(F)
-    Q = quantile_from_cdf(F, strict=False)
-    # pseudo-inverse jumps across the empty cell
-    flat_start = g.nodes[1]
-    assert np.isclose(Q(F(flat_start)), flat_start)
+        QuantileFn(F)
+
+
+def _frozen_quantile(cdf, xi):
+    """``QuantileFn.__call__`` as it was with its flat-cell guard, which the
+    refusal of flat cells made unreachable; kept to pin the bits."""
+    x = np.clip(np.asarray(xi, dtype=float), 0.0, 1.0)
+    F = cdf.values
+    nodes = cdf.nodes
+    idx = np.searchsorted(F, x, side="left")
+    idx = np.clip(idx, 0, len(F) - 1)
+    lo = np.maximum(idx - 1, 0)
+    f_lo, f_hi = F[lo], F[idx]
+    th_lo, th_hi = nodes[lo], nodes[idx]
+    denom = f_hi - f_lo
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = np.where(denom > 0, (x - f_lo) / np.where(denom > 0, denom, 1.0), 1.0)
+    out = th_lo + np.clip(t, 0.0, 1.0) * (th_hi - th_lo)
+    out = np.where(idx == 0, nodes[0], out)
+    return out if out.ndim else float(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=64),
+    st.sampled_from([1.0, 1.0 - 2**-53, 1.0 - 2**-52, 1.0 + 2**-52, 1.0 - 1e-12]),
+    st.lists(st.floats(0.0, 1.0), max_size=16),
+)
+def test_quantile_matches_frozen_guarded_body_bitwise(weights, last, xis):
+    cum = np.cumsum(weights)
+    values = np.concatenate(([0.0], cum / cum[-1]))
+    values[-1] = last  # CdfFn accepts an end value within 1e-12 of one
+    assume(np.all(np.diff(values) >= FLAT_TOL))
+    F = CdfFn(ThetaGrid(len(weights)), values)
+    Q = QuantileFn(F)
+    xi = np.concatenate(([0.0, 1.0, -1e-13, 1.0 + 1e-13], F.values, xis))
+    assert Q(xi).tobytes() == _frozen_quantile(F, xi).tobytes()
+    for x in xi:
+        got, want = Q(x), _frozen_quantile(F, x)
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @given(
@@ -170,7 +206,7 @@ def test_strict_quantile_refuses_flat_cell():
 )
 def test_grid_quantile_monotone(alpha, beta, xis):
     g = ThetaGrid(64)
-    Q = quantile_from_cdf(cdf_from_density(oa_cell_averages(OAPoint(alpha, beta), g)))
+    Q = QuantileFn(cdf_from_density(oa_cell_averages(OAPoint(alpha, beta), g)))
     xs = np.sort(np.asarray(xis))
     qs = Q(xs)
     assert np.all(np.diff(qs) >= -1e-12)

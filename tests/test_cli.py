@@ -31,6 +31,7 @@ from kuralim import (
     oa_quantile,
 )
 from kuralim.cli import (
+    MAX_OA_ROWS,
     _build_initial,
     _oa_flow_times,
     _read_density_csv,
@@ -411,6 +412,43 @@ def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch
     assert run_cli(args + ["--output-every", "0.1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_with_short_final_time_ends_at_t(tmp_path):
+    # a remainder of 1e-10 is a third of dt: a real step, not rounding
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        "mode: ds\nN: 2\ndt: 3.0e-10\nT: 1.0e-9\noutput_every: 3.0e-10\n"
+        f"initial: {{type: twisted, m: 1}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    times = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)[:, 0]
+    assert len(times) == 5 and times[-1] == 1e-9
+
+
+def test_oa_flow_with_short_final_time_ends_at_t(tmp_path):
+    out = tmp_path / "flow.csv"
+    args = ["oa", "flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1e-9", "--output-every", "3e-10"]
+    assert run_cli(args + ["--output", str(out)]) == 0
+    times = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert len(times) == 5 and times[-1] == 1e-9
+
+
+def test_oa_eval_refuses_tables_over_the_row_limit(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "eval.csv"
+    args = ["oa", "eval", "--alpha", "0.3", "--beta", "0.5", "--output", str(out)]
+    # refused before any grid is built
+    assert run_cli(args + ["--n", str(MAX_OA_ROWS)]) == 2
+    assert "more than 10000000 rows" in _single_error_line(capsys)
+    assert not out.exists()
+    monkeypatch.setattr("kuralim.cli.MAX_OA_ROWS", 10)
+    assert run_cli(args + ["--n", "9"]) == 0
+    assert len(out.read_text().splitlines()) == 11  # header + 10 rows
+    out.unlink()
+    assert run_cli(args + ["--n", "10"]) == 2
+    _single_error_line(capsys)
     assert not out.exists()
 
 

@@ -64,7 +64,7 @@ def test_cl_and_ds_agree_bitwise():
     b = ds_simulate(ParticleState(x.copy()), KuramotoSin(), 0.01, 1.0)
     # the two descriptions use the same reduction, so equal data must
     # produce equal floats
-    assert np.array_equal(a.final, b.final)
+    assert np.array_equal(a.states[-1], b.states[-1])
     assert np.array_equal(np.asarray(a.states), np.asarray(b.states))
 
 
@@ -105,7 +105,7 @@ def test_manifold_family_is_invariant_short_run():
     t_end = 0.5
     traj = cl_simulate(manifold_field(g, p0), KuramotoSin(), 1e-3, t_end)
     target = manifold_field(g, oa_flow(p0, t_end)).values
-    assert np.max(np.abs(wrap_angle(traj.final) - target)) < 1e-6
+    assert np.max(np.abs(wrap_angle(traj.states[-1]) - target)) < 1e-6
 
 
 def test_simulate_rejects_bad_horizon():

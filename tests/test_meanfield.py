@@ -78,14 +78,15 @@ def test_spectral_rhs_on_geometric_modes():
     # truncation only touches the last retained mode
     assert np.max(np.abs(dot[:-1] - expected[:-1])) < 1e-15
     assert abs(dot[0] - 0.5 * a * (1.0 - abs(a) ** 2)) < 1e-16
-    closed = spectral_rhs(modes, oa_tail=True)
+    # with the geometric tail c_{N+1} = c_N c_1 appended, every mode is exact
+    closed = spectral_rhs(np.append(modes, modes[-1] * modes[0]))[:-1]
     assert np.max(np.abs(closed - expected)) < 1e-15
 
 
 def test_uniform_state_is_stationary():
     start = FourierDensity(np.zeros(8, dtype=complex))
     traj = mfl_simulate_spectral(start, 1e-2, 1.0)
-    assert np.max(np.abs(traj.final)) == 0.0
+    assert np.max(np.abs(traj.states[-1])) == 0.0
 
 
 def test_spectral_run_matches_family_flow():

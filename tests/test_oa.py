@@ -171,7 +171,7 @@ def test_flow_matches_rk4():
     traj = integrate_fixed(rhs, np.array([p0.beta]), 1e-3, 2.0)
     p2 = oa_flow(p0, 2.0)
     assert p2.alpha == p0.alpha
-    assert abs(p2.beta - traj.final[0]) < 1e-12
+    assert abs(p2.beta - traj.states[-1][0]) < 1e-12
 
 
 def test_flow_group_property_and_inverse():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kuralim import particles
 from kuralim._rk4 import MAX_STEPS, record_stride, step_schedule
@@ -32,11 +33,6 @@ class _SlowSin(InteractionKernel):
 def test_state_wraps_circle_positions_only():
     s = ParticleState(np.array([-1.0, 7.0]))
     assert np.all((s.positions >= 0.0) & (s.positions < TWO_PI))
-    line = ParticleState(np.array([-1.0, 7.0]), space="line")
-    assert np.array_equal(line.positions, [-1.0, 7.0])
-    assert s.n == 2
-    with pytest.raises(DomainError):
-        ParticleState(np.array([0.0, 1.0]), frequencies=np.array([1.0]))
 
 
 def test_two_particle_rhs_hand_value():
@@ -80,25 +76,27 @@ def test_rk4_is_fourth_order_on_the_gap():
     exact = 2.0 * np.arctan(np.tan(g0 / 2.0) * np.exp(-1.0))
     errs = []
     for dt in (0.1, 0.05):
-        final = ds_simulate(ParticleState(np.array([0.0, g0])), KuramotoSin(), dt, 1.0).final
+        final = ds_simulate(ParticleState(np.array([0.0, g0])), KuramotoSin(), dt, 1.0).states[-1]
         errs.append(abs(wrap_angle(final[1] - final[0]) - exact))
     assert errs[1] < errs[0] / 12.0  # ~16x for a fourth-order method
 
 
 def test_mean_position_conserved_on_line():
+    # an odd kernel's pairwise terms cancel, so the velocities sum to zero
+    # and the mean of the positions' real lift is conserved
     rng = np.random.default_rng(3)
-    s = ParticleState(rng.normal(0.0, 1.0, 25), space="line")
-    traj = ds_simulate(s, KuramotoSin(), 0.01, 1.0)
-    means = [np.mean(p) for p in traj.states]
-    assert max(abs(m - means[0]) for m in means) < 1e-12
+    for kernel in (KuramotoSin(), OddTrig((1.0, 0.3, 0.1))):
+        for _ in range(20):
+            x = rng.uniform(0.0, TWO_PI, 25)
+            assert abs(math.fsum(kernel.mean_interaction(x))) < 1e-12
 
 
 def test_permutation_equivariance_is_bitwise():
     rng = np.random.default_rng(11)
     x = rng.uniform(0, TWO_PI, 33)
     perm = rng.permutation(33)
-    a = ds_simulate(ParticleState(x), KuramotoSin(), 0.01, 0.5).final
-    b = ds_simulate(ParticleState(x[perm]), KuramotoSin(), 0.01, 0.5).final
+    a = ds_simulate(ParticleState(x), KuramotoSin(), 0.01, 0.5).states[-1]
+    b = ds_simulate(ParticleState(x[perm]), KuramotoSin(), 0.01, 0.5).states[-1]
     # the mean reduction is order-independent, so relabeling commutes
     # with the dynamics exactly, not just to rounding
     assert np.array_equal(a[perm], b)
@@ -108,16 +106,9 @@ def test_rotation_equivariance():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, TWO_PI, 16)
     shift = 1.234
-    a = ds_simulate(ParticleState(wrap_angle(x + shift)), KuramotoSin(), 0.01, 0.5).final
-    b = ds_simulate(ParticleState(x), KuramotoSin(), 0.01, 0.5).final
+    a = ds_simulate(ParticleState(wrap_angle(x + shift)), KuramotoSin(), 0.01, 0.5).states[-1]
+    b = ds_simulate(ParticleState(x), KuramotoSin(), 0.01, 0.5).states[-1]
     assert np.max(np.abs(wrap_angle(a - shift) - b)) < 1e-10
-
-
-def test_frequencies_advance_positions():
-    freqs = np.array([0.5, -0.25])
-    s = ParticleState(np.array([0.0, 1.0]), frequencies=freqs)
-    final = ds_simulate(s, OddTrig((0.0,)), 0.01, 2.0).final
-    assert np.allclose(final, wrap_angle(np.array([0.0, 1.0]) + 2.0 * freqs), atol=1e-12)
 
 
 def test_simulate_rejects_bad_horizon():
@@ -148,6 +139,28 @@ def test_step_schedule_limit_is_inclusive(monkeypatch):
         step_schedule(0.125, 1.01)
 
 
+STEP_SIZES = st.floats(1e-100, 1e100)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STEP_SIZES, st.integers(1, MAX_STEPS - 1))
+def test_step_schedule_adds_no_sliver_step_to_exact_multiples(dt, n):
+    # checked on the pair alone: the schedule is never run
+    n_full, remainder = step_schedule(dt, n * dt)
+    assert n_full in (n - 1, n)
+    assert remainder == 0.0 or remainder >= 1e-6 * dt
+
+
+@settings(max_examples=300, deadline=None)
+@given(STEP_SIZES, st.integers(0, 10**7 - 1), st.floats(1e-6, 0.98))
+def test_step_schedule_keeps_genuine_remainders(dt, n, r):
+    # the remainder tolerance scales with dt, so a short final time keeps
+    # its last partial step whatever its absolute size
+    n_full, remainder = step_schedule(dt, n * dt + r * dt)
+    assert n_full == n
+    assert abs(remainder - r * dt) < 1e-8 * dt
+
+
 def test_record_stride_past_max_steps_keeps_first_and_last():
     assert record_stride(1e-310, 0.1) == MAX_STEPS + 1  # 0.1 / 1e-310 is inf
     assert record_stride(0.01, 1e300) == MAX_STEPS + 1
@@ -164,7 +177,7 @@ def test_output_every_controls_recording():
     assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
     dense = ds_simulate(s, KuramotoSin(), 0.01, 1.0)
     assert len(dense.times) == 101
-    assert np.array_equal(dense.final, traj.final)
+    assert np.array_equal(dense.states[-1], traj.states[-1])
 
 
 def test_odd_trig_validation_and_phi():
