@@ -37,7 +37,9 @@ Rows that hold a non-finite value, rows too close to overflow for
 raises where it raises.  Arrays of at most :data:`CUTOFF` values go to
 ``math.fsum`` row by row over Python floats: there the fixed cost of the
 numpy passes (about 30 us) exceeds ``math.fsum``'s (about 0.1 us a
-value).
+value).  :func:`exact_mean_complex` of at most ``CUTOFF / 2`` values
+takes that path directly, ``math.fsum`` of the real parts and of the
+imaginary parts, without building the two-row array first.
 """
 from __future__ import annotations
 
@@ -60,18 +62,24 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     m = (n + 1).bit_length()
     limit = 2.0 ** (1023 - m)
     peak = np.abs(rows).max(axis=1)
-    p = rows
+    peaks = peak.tolist()
     direct = ()
-    if not (peak.min() > 0.0 and peak.max() < limit):
+    # all() and not min() and max(): those can pass over a NaN peak.
+    if all(0.0 < v < limit for v in peaks):
+        p = rows.copy()
+    else:
         fast = (peak > 0.0) & (peak < limit)
         direct = np.flatnonzero(~fast)
         p = np.where(fast[:, None], rows, 0.0)
-        peak = peak[fast]
-    sigma = math.ldexp(1.0, math.frexp(peak.max(initial=0.0))[1] + m)
+        peaks = peak[fast].tolist()
+    sigma = math.ldexp(1.0, math.frexp(max(peaks, default=0.0))[1] + m)
+    # Both passes work in place on p, the private copy, and q.
+    q = np.empty_like(p)
     taus = []
     for _ in range(2):
-        q = (p + sigma) - sigma
-        p = p - q
+        np.add(p, sigma, out=q)
+        q -= sigma
+        p -= q
         taus.append(q.sum(axis=1))
         sigma *= 2.0 ** (m - 53)
     out = taus[0] + taus[1]
@@ -87,5 +95,7 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
 def exact_mean_complex(values: np.ndarray) -> complex:
     """Correctly rounded sums of the real and imaginary parts, over ``len``."""
     n = len(values)
+    if 2 * n <= CUTOFF:
+        return complex(math.fsum(values.real.tolist()) / n, math.fsum(values.imag.tolist()) / n)
     re, im = exact_row_sums(np.array([values.real, values.imag])).tolist()
     return complex(re / n, im / n)

@@ -104,19 +104,22 @@ def integrate_fixed(
 
     times = [0.0]
     states = [y.copy()]
-    for k in range(1, n_total + 1):
-        h = dt if k <= n_full else remainder
-        t = k * dt if k <= n_full else t_end
-        y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
-        if wrap is not None:
-            y = wrap(y)
-        if not np.all(np.isfinite(y)):
-            raise NonFinite(f"non-finite state at step {k} (t = {t:.6g})")
-        if post_step is not None:
-            post_step(y, k, t)
-        if k % record_every == 0 or k == n_total:
-            times.append(t)
-            states.append(y.copy())
+    # A state that overflows or turns NaN is caught below as NonFinite, so
+    # numpy's warnings on the way there would only repeat the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n_total + 1):
+            h = dt if k <= n_full else remainder
+            t = k * dt if k <= n_full else t_end
+            y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
+            if wrap is not None:
+                y = wrap(y)
+            if not np.all(np.isfinite(y)):
+                raise NonFinite(f"non-finite state at step {k} (t = {t:.6g})")
+            if post_step is not None:
+                post_step(y, k, t)
+            if k % record_every == 0 or k == n_total:
+                times.append(t)
+                states.append(y.copy())
     return Trajectory(np.array(times), np.array(states))
 
 

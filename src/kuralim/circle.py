@@ -39,8 +39,20 @@ FLAT_TOL = 1e-10
 
 
 def wrap_angle(theta):
-    """Canonical circle representative in ``[0, 2*pi)``."""
-    return np.mod(theta, TWO_PI)
+    """Canonical circle representative in ``[0, 2*pi)``.
+
+    An array comes back as a new float array.  Its entries in the open
+    interval ``(0, 2*pi)`` come back as they are, which is what ``np.mod``
+    returns for them; only the others go through ``np.mod``.  That maps
+    ``-0.0`` to ``+0.0`` and may round a tiny negative angle up to exactly
+    ``2*pi``.
+    """
+    if np.ndim(theta) == 0:
+        return np.mod(theta, TWO_PI)
+    out = np.array(theta, dtype=float)
+    outside = ~((out > 0.0) & (out < TWO_PI))
+    out[outside] = np.mod(out[outside], TWO_PI)
+    return out
 
 
 def wrap_pm_pi(theta):

@@ -59,6 +59,11 @@ INITIAL_TYPES = {
 #: before any of it is built.
 MAX_OA_ROWS = 10**7
 
+#: Largest size a run or a transform accepts: ``N``, ``n_labels``,
+#: ``n_cells``, ``n_modes`` and ``--n-labels``.  A larger one is refused
+#: before any array is built.
+MAX_SIZE = 10**7
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -226,6 +231,8 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         problems.append(f"{size_key} must be a positive integer")
         size = 1
+    elif size > MAX_SIZE:
+        problems.append(f"{size_key} must be at most {MAX_SIZE}")
 
     dt = _finite_number(doc.get("dt", 1e-3))
     if dt is None or dt <= 0:
@@ -414,6 +421,8 @@ def _cmd_transform(args) -> int:
     n_labels = config.size if args.n_labels is None else args.n_labels
     if n_labels < 1:
         raise ValidationError("--n-labels must be at least 1")
+    if n_labels > MAX_SIZE:
+        raise ValidationError(f"--n-labels must be at most {MAX_SIZE}")
     if not np.isfinite(args.drift_scale):
         raise ValidationError("--drift-scale must be a finite number")
     traj = _read_density_csv(input_path, config.size)

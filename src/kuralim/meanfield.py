@@ -23,6 +23,7 @@ The update is conservative, so total mass is preserved to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,13 +87,24 @@ def order_parameter(density) -> complex:
     raise DomainError(f"unsupported density type {type(density).__name__}")
 
 
+@lru_cache(maxsize=16)
+def _half_orders(n_modes: int) -> np.ndarray:
+    """``n / 2`` for ``n = 1 .. n_modes``, read-only: every caller shares it."""
+    half = 0.5 * np.arange(1, n_modes + 1)
+    half.flags.writeable = False
+    return half
+
+
 def spectral_rhs(modes: np.ndarray) -> np.ndarray:
     """Mode velocities of the sine-coupled hierarchy truncated by ``c_{N+1} = 0``."""
     c1 = modes[0]
-    lower = np.concatenate(([1.0 + 0.0j], modes[:-1]))
-    upper = np.concatenate((modes[1:], [0.0j]))
-    n = np.arange(1, len(modes) + 1)
-    return 0.5 * n * (c1 * lower - np.conj(c1) * upper)
+    lower = np.empty_like(modes, dtype=complex)
+    lower[0] = 1.0
+    lower[1:] = modes[:-1]
+    upper = np.empty_like(modes, dtype=complex)
+    upper[:-1] = modes[1:]
+    upper[-1] = 0.0
+    return _half_orders(len(modes)) * (c1 * lower - np.conj(c1) * upper)
 
 
 def mfl_simulate_spectral(

@@ -115,7 +115,12 @@ class KuramotoSin(InteractionKernel):
         # mean of z_j = exp(i x_j); one pass, permutation-invariant.
         z = np.exp(1j * positions)
         r = exact_mean_complex(z)
-        return self.coupling * (r * np.conj(z)).imag
+        # R * conj(z) stays complex and is written over z.  numpy's complex
+        # multiply may fuse a multiply and an add, so the real form
+        # r.imag * z.real - r.real * z.imag differs in last bits; and it
+        # multiplies a one-element array in place (conj(z, out=z) first)
+        # without that fused step, so conj(z) gets its own array.
+        return self.coupling * np.multiply(r, np.conj(z), out=z).imag
 
     def circle_velocity(self, theta, nodes, masses):
         z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
@@ -155,7 +160,7 @@ class OddTrig(InteractionKernel):
                 continue
             z = np.exp(1j * m * positions)
             r = exact_mean_complex(z)
-            out += km * (r * np.conj(z)).imag
+            out += km * np.multiply(r, np.conj(z), out=z).imag  # as in KuramotoSin
         return out
 
 

@@ -40,6 +40,36 @@ def test_wrap_angle_range_and_period():
     assert np.allclose(np.sin(w), np.sin(x))
 
 
+# Angles where np.mod rewrites its argument, and their neighbours.
+SPECIAL_ANGLES = (
+    0.0, -0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0), -1e-17, 1e-17,
+    5e-324, -5e-324, 1e300, -1e300, np.nan, np.inf, -np.inf,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-20.0, 20.0), st.floats()),
+        max_size=40,
+    )
+)
+def test_wrap_angle_matches_np_mod_bitwise(values):
+    # np.mod(theta, TWO_PI) is wrap_angle's former body.
+    x = np.array(values, dtype=float)
+    before = x.tobytes()
+    with np.errstate(invalid="ignore"):
+        for arg in (x, values):
+            got = wrap_angle(arg)
+            assert got.dtype == float and not np.shares_memory(got, x)
+            assert got.tobytes() == np.mod(x, TWO_PI).tobytes()
+        for v in values:
+            for arg in (v, np.float64(v), np.array(v)):
+                got, want = wrap_angle(arg), np.mod(arg, TWO_PI)
+                assert type(got) is type(want) and np.float64(got).tobytes() == want.tobytes()
+    assert x.tobytes() == before
+
+
 def test_wrap_pm_pi_range():
     w = wrap_pm_pi(np.array([-4.0, 0.0, 3.5, 6.0]))
     assert np.all((w >= -np.pi) & (w < np.pi))

@@ -32,6 +32,7 @@ from kuralim import (
 )
 from kuralim.cli import (
     MAX_OA_ROWS,
+    MAX_SIZE,
     _build_initial,
     _oa_flow_times,
     _read_density_csv,
@@ -412,6 +413,68 @@ def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch
     assert run_cli(args + ["--output-every", "0.1"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "head, dt",
+    [
+        ("mode: ds\nN: 2\nkernel: {type: kuramoto, coupling: 1.0e308}\n"
+         "initial: {type: uniform}\nseed: 3\n", "0.3"),
+        ("mode: cl\nn_labels: 8\nkernel: {type: odd-trig, coefficients: [1.0e308, 1.0e308]}\n"
+         "initial: {type: oa, alpha: 0.3, beta: 0.9}\n", "0.1"),
+    ],
+    ids=["ds", "cl"],
+)
+def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, head, dt):
+    # The state overflows in the first step.  numpy's overflow and
+    # invalid-value warnings on the way are not printed (pyproject.toml
+    # turns them into errors here).
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        head + f"dt: {dt}\nT: 0.3\noutput_every: {dt}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert _single_error_line(capsys) == f"error: non-finite state at step 1 (t = {dt})"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, size_key, extra",
+    [("ds", "N", "seed: 1\n"), ("cl", "n_labels", ""), ("mfl-spectral", "n_modes", ""),
+     ("mfl-grid", "n_cells", "")],
+    ids=["ds", "cl", "mfl-spectral", "mfl-grid"],
+)
+def test_size_keys_refuse_sizes_over_the_limit(tmp_path, capsys, monkeypatch, mode, size_key, extra):
+    def text(size):
+        return (
+            f"mode: {mode}\n{size_key}: {size}\ndt: 0.01\nT: 0.02\n{extra}"
+            f"output: {tmp_path}/out.csv\n"
+        )
+
+    # refused while parsing, before any array is built
+    parse_config(text(MAX_SIZE))
+    with pytest.raises(ValidationError, match=f"{size_key} must be at most 10000000"):
+        parse_config(text(MAX_SIZE + 1))
+    monkeypatch.setattr("kuralim.cli.MAX_SIZE", 4)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text(4))]) == 0
+    (tmp_path / "out.csv").unlink()
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text(5))]) == 2
+    assert _single_error_line(capsys) == f"error: {size_key} must be at most 4"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_transform_refuses_label_counts_over_the_limit(tmp_path, capsys, monkeypatch):
+    cfg = _grid_run(tmp_path)
+    monkeypatch.setattr("kuralim.cli.MAX_SIZE", 16)
+    out = tmp_path / "fields.csv"
+    args = ["transform", "--config", cfg, "--output", str(out), "--n-labels"]
+    assert run_cli(args + ["16"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 16 * 6  # header + 16 labels x 6 times
+    out.unlink()
+    assert run_cli(args + ["17"]) == 2
+    assert _single_error_line(capsys) == "error: --n-labels must be at most 16"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Mode-hierarchy and grid descriptions of the mean-field density."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kuralim import particles
 from kuralim import (
@@ -81,6 +82,36 @@ def test_spectral_rhs_on_geometric_modes():
     # with the geometric tail c_{N+1} = c_N c_1 appended, every mode is exact
     closed = spectral_rhs(np.append(modes, modes[-1] * modes[0]))[:-1]
     assert np.max(np.abs(closed - expected)) < 1e-15
+
+
+def _frozen_spectral_rhs(modes):
+    """``spectral_rhs`` as it was, with the shifted modes concatenated."""
+    c1 = modes[0]
+    lower = np.concatenate(([1.0 + 0.0j], modes[:-1]))
+    upper = np.concatenate((modes[1:], [0.0j]))
+    n = np.arange(1, len(modes) + 1)
+    return 0.5 * n * (c1 * lower - np.conj(c1) * upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 100),
+    kind=st.sampled_from(["random", "geometric", "zeros"]),
+    scale=st.sampled_from([1.0, 0.5, 1e-3, 1e-300, 1e150]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_rhs_matches_frozen_body_bitwise(n, kind, scale, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        modes = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    elif kind == "geometric":
+        modes = (rng.uniform(0.0, 0.99) * np.exp(1j * rng.uniform(-4.0, 4.0))) ** np.arange(1, n + 1)
+    else:
+        modes = np.zeros(n, dtype=complex)
+    modes.flags.writeable = False  # as FourierDensity holds them
+    got = spectral_rhs(modes)
+    assert got.dtype == complex and got.flags.writeable
+    assert got.tobytes() == _frozen_spectral_rhs(modes).tobytes()
 
 
 def test_uniform_state_is_stationary():

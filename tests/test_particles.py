@@ -234,6 +234,42 @@ def test_generic_mean_interaction_matches_row_loop_bitwise(n, periodic):
     assert np.array_equal(got.view(np.int64), _frozen_mean_interaction(tab, x).view(np.int64))
 
 
+def _frozen_fast_mean_interaction(kernel, positions):
+    """``KuramotoSin`` and ``OddTrig`` mean interactions as they were, with
+    a new array for each ``r * conj(z)``."""
+    if isinstance(kernel, KuramotoSin):
+        z = np.exp(1j * positions)
+        r = particles.exact_mean_complex(z)
+        return kernel.coupling * (r * np.conj(z)).imag
+    out = np.zeros_like(positions)
+    for m, km in enumerate(kernel.coefficients, start=1):
+        if km == 0.0:
+            continue
+        z = np.exp(1j * m * positions)
+        r = particles.exact_mean_complex(z)
+        out += km * (r * np.conj(z)).imag
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel=st.sampled_from(
+        [KuramotoSin(1.7), KuramotoSin(-0.3), OddTrig((1.0, 0.0, 0.1)), OddTrig((0.0, -2.5))]
+    ),
+    n=st.sampled_from([1, 2, 64, 255, 256, 257, 1024]),
+    shift=st.sampled_from([0.0, -TWO_PI, -40.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_mean_interactions_match_frozen_bodies_bitwise(kernel, n, shift, seed):
+    # RK4 stages evaluate the right-hand side off the circle, at negative
+    # positions too; 256 and 257 positions straddle the exact mean's cutoff.
+    x = np.random.default_rng(seed).uniform(-1.0, TWO_PI + 1.0, n) + shift
+    before = x.tobytes()
+    got = kernel.mean_interaction(x)
+    assert got.tobytes() == _frozen_fast_mean_interaction(kernel, x).tobytes()
+    assert x.tobytes() == before
+
+
 def test_generic_mean_interaction_raises_outside_window():
     tab = TabulatedGradient(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, -1.0]))
     x = np.zeros(600)

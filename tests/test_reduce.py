@@ -136,6 +136,10 @@ def test_non_finite_input_behaves_like_fsum(n):
     if n >= 3:
         with pytest.raises(OverflowError):
             exact_row_sums(padded([1e308, 1e308, -1e308]))
+        # A NaN peak after a finite one, which Python's min and max pass
+        # over: the row still goes to math.fsum, which raises for inf - inf.
+        with pytest.raises(ValueError):
+            exact_row_sums(np.vstack([np.ones((1, n)), padded([np.nan, np.inf, -np.inf])]))
     assert math.isnan(exact_row_sums(padded([1.0, np.nan]))[0])
     assert exact_row_sums(padded([np.inf, 1.0]))[0] == np.inf
 
@@ -150,3 +154,82 @@ def test_batch_keeps_exact_rows_next_to_special_ones():
     rows = np.vstack([good[:1], special, good[1:]])
     got = exact_row_sums(rows).tolist()
     assert all(_same(g, math.fsum(r)) for g, r in zip(got, rows))
+
+
+def _frozen_row_sums(rows):
+    """``exact_row_sums`` as it was before its passes worked in place, kept
+    to pin the bits."""
+    rows = np.asarray(rows, dtype=float)
+    n = rows.shape[1]
+    if rows.size <= CUTOFF:
+        return np.array([math.fsum(r) for r in rows.tolist()], dtype=float)
+    m = (n + 1).bit_length()
+    limit = 2.0 ** (1023 - m)
+    peak = np.abs(rows).max(axis=1)
+    p = rows
+    direct = ()
+    if not (peak.min() > 0.0 and peak.max() < limit):
+        fast = (peak > 0.0) & (peak < limit)
+        direct = np.flatnonzero(~fast)
+        p = np.where(fast[:, None], rows, 0.0)
+        peak = peak[fast]
+    sigma = math.ldexp(1.0, math.frexp(peak.max(initial=0.0))[1] + m)
+    taus = []
+    for _ in range(2):
+        q = (p + sigma) - sigma
+        p = p - q
+        taus.append(q.sum(axis=1))
+        sigma *= 2.0 ** (m - 53)
+    out = taus[0] + taus[1]
+    if p.any():
+        left = p != 0.0
+        for r in np.flatnonzero(left.any(axis=1)):
+            out[r] = math.fsum([taus[0][r], taus[1][r]] + p[r][left[r]].tolist())
+    for r in direct:
+        out[r] = math.fsum(rows[r].tolist())
+    return out
+
+
+def _frozen_mean_complex(values):
+    """``exact_mean_complex`` as it was, through the two-row array."""
+    n = len(values)
+    re, im = _frozen_row_sums(np.array([values.real, values.imag])).tolist()
+    return complex(re / n, im / n)
+
+
+def _outcome(f, *args):
+    """``f(*args)`` as bytes, or the type of the exception it raises."""
+    try:
+        return np.asarray(f(*args), dtype=complex).tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+# One entry of a row, at index special_at, is replaced by this value.
+SPECIALS = (None, np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+    n=st.one_of(st.integers(1, 600), st.sampled_from([CUTOFF // 2, CUTOFF // 2 + 1])),
+    scale=st.sampled_from([1.0, 1e-300, 5e-324, 1e300, 2.0**1000]),
+    special=st.sampled_from(SPECIALS),
+    special_at=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reductions_match_frozen_bodies_bitwise(kinds, n, scale, special, special_at, seed):
+    # n runs past CUTOFF / 2 = 256 and 257 values, where a complex mean
+    # leaves math.fsum, and past CUTOFF for the rows alone.
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        rows = np.array([_values(kind, n, rng) * scale for kind in kinds])
+    if special is not None:
+        rows.flat[special_at % rows.size] = special
+    z = np.empty(n, dtype=complex)
+    z.real, z.imag = rows[0], rows[-1]
+    rows_before, z_before = rows.tobytes(), z.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _outcome(exact_row_sums, rows) == _outcome(_frozen_row_sums, rows)
+        assert _outcome(exact_mean_complex, z) == _outcome(_frozen_mean_complex, z)
+    assert rows.tobytes() == rows_before and z.tobytes() == z_before
