@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ MAX_OA_ROWS = 10**7
 #: ``n_cells``, ``n_modes`` and ``--n-labels``.  A larger one is refused
 #: before any array is built.
 MAX_SIZE = 10**7
+
+#: Most values :func:`_write_csv` formats in one ``%`` operation (about
+#: 400 kB of text); a row wider than this is formatted alone.
+CSV_CHUNK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -203,7 +208,8 @@ def parse_config(text: str) -> RunConfig:
     :class:`ValidationError` listing every violation at once.
     """
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when PyYAML has it; both give the same documents
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
@@ -263,8 +269,8 @@ def parse_config(text: str) -> RunConfig:
     seed = doc.get("seed")
     needs_seed = mode == "ds" and initial.get("type") == "uniform"
     if needs_seed:
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            problems.append("uniform initial data requires an integer seed")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            problems.append("uniform initial data requires a nonnegative integer seed")
     elif seed is not None:
         problems.append("seed only applies to ds runs with uniform initial data")
 
@@ -288,15 +294,23 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
-    """Write a 2-D float table under ``header``, one ``%.16e`` cell per value."""
+    """Write a 2-D float table under ``header``, one ``%.16e`` cell per value,
+    formatting each chunk of :data:`CSV_CHUNK_VALUES` values (or one row) with one ``%``."""
+    line = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    rows = max(1, CSV_CHUNK_VALUES // table.shape[1])
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.16e", delimiter=",", header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        for chunk in np.split(table, range(rows, len(table), rows)):
+            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
     try:
-        return np.loadtxt(path, dtype=float, delimiter=",", **kwargs)
-    except (ValueError, OSError) as exc:
+        with warnings.catch_warnings():
+            # numpy only warns about an input without numbers; refuse it
+            warnings.simplefilter("error", UserWarning)
+            return np.loadtxt(path, dtype=float, delimiter=",", **kwargs)
+    except (ValueError, OSError, UserWarning) as exc:
         raise ValidationError(f"cannot read numbers from {path!r}: {exc}") from exc
 
 
@@ -352,11 +366,7 @@ def _build_initial(config: RunConfig):
 
 
 def _resolve_output(config: RunConfig, args, fallback: str) -> str:
-    if getattr(args, "output", None):
-        return args.output
-    if config.output:
-        return config.output
-    return fallback
+    return getattr(args, "output", None) or config.output or fallback
 
 
 def _write_meta(output: str, config: RunConfig) -> None:
@@ -387,9 +397,7 @@ def _cmd_simulate(args) -> int:
         table = np.column_stack((traj.times, traj.values))
     else:
         traj = mfl_simulate_spectral(initial, config.dt, config.t_end, config.output_every)
-        header = ["t"]
-        for n in range(1, config.size + 1):
-            header += [f"re_c_{n}", f"im_c_{n}"]
+        header = ["t"] + [f"{p}_c_{n}" for n in range(1, config.size + 1) for p in ("re", "im")]
         # a complex row viewed as floats is re_c_1, im_c_1, re_c_2, ...
         table = np.column_stack((traj.times, traj.states.view(float)))
 
@@ -583,10 +591,7 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except KuralimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KuralimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -220,7 +220,7 @@ def mfl_simulate_grid(
         vmax = float(np.max(np.abs(v)))
         if vmax * h > CFL_LIMIT * dtheta:
             raise CflViolation(
-                f"CFL number {vmax * h / dtheta:.3f} exceeds {CFL_LIMIT} at "
+                f"CFL number {vmax * h / dtheta:.6g} exceeds {CFL_LIMIT} at "
                 f"t = {t:.6g}; need dt <= {CFL_LIMIT * dtheta / vmax:.6g}"
             )
 

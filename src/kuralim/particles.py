@@ -86,16 +86,26 @@ class InteractionKernel:
         """``masses -> circle_velocity(theta, nodes, masses)`` for fixed nodes.
 
         ``phi`` at the 1-d ``theta`` against ``nodes`` does not depend on
-        the masses, so the returned callable evaluates it once, as a
-        matrix, and takes one ``np.dot`` per row on each call: the same
-        bytes as :meth:`circle_velocity`.  (``rows @ masses`` would sum in
-        another order and change last bits.)  Above :data:`CACHE_VALUES`
+        the masses, so the returned callable evaluates it once, as a stack
+        of ``(1, n)`` rows, and multiplies it by the ``(n, 1)`` masses in one
+        ``np.matmul``.  numpy takes each row with the dot kernel of ``np.dot``,
+        so the bytes are those of :meth:`circle_velocity` (``rows @ masses``
+        goes to gemv and changes last bits).  Above :data:`CACHE_VALUES`
         matrix entries it calls :meth:`circle_velocity` instead.
         """
         if np.size(theta) * np.size(nodes) > CACHE_VALUES:
             return lambda masses: self.circle_velocity(theta, nodes, masses)
         rows = self.phi(np.asarray(theta, dtype=float)[:, None], nodes[None, :])
-        return lambda masses: np.array([np.dot(r, masses) for r in rows])
+        stack = rows[:, None, :]
+
+        def field(masses):
+            m = np.asarray(masses, dtype=float)
+            if rows.shape[1] == 1:  # np.dot multiplies one-element vectors: -0.0 stays
+                return m.item() * rows[:, 0]
+            # np.dot copies masses of stride <= 0 before its dot kernel
+            return np.matmul(stack, (m if m.strides[0] > 0 else m.copy())[:, None])[:, 0, 0]
+
+        return field
 
 
 @dataclass(frozen=True)

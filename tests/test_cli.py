@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import kuralim
 from kuralim import (
@@ -31,6 +32,7 @@ from kuralim import (
     oa_quantile,
 )
 from kuralim.cli import (
+    CSV_CHUNK_VALUES,
     MAX_OA_ROWS,
     MAX_SIZE,
     _build_initial,
@@ -679,13 +681,17 @@ def test_kernel_and_initial_parameters_read_exponent_floats():
     assert tab.kernel.values.tolist() == [0.1, 0.0, -0.1]
 
 
-def test_import_loads_no_scipy():
+def _src_env():
+    """The environment of a child Python that imports this checkout's kuralim."""
     src = str(Path(kuralim.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_import_loads_no_scipy():
     code = "import sys, kuralim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
 
@@ -805,4 +811,184 @@ def test_write_csv_special_values_match_per_float_writer(tmp_path):
     assert new.splitlines()[1] == (
         b"0.0000000000000000e+00,-0.0000000000000000e+00,"
         b"4.9406564584124654e-324,-4.9406564584124654e-324"
+    )
+
+
+def _special_table(rows, width, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 301, (rows, width))
+    flat = table.ravel()
+    for k, x in enumerate([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308]):
+        flat[k::97] = x
+    return table
+
+
+@pytest.mark.parametrize("width", [1, 3, 513, 4097])
+@pytest.mark.parametrize("offset", [-1, 0, 1, None], ids=["below", "at", "above", "empty"])
+def test_write_csv_matches_per_float_writer_around_the_chunk_budget(tmp_path, width, offset):
+    # One chunk holds CSV_CHUNK_VALUES // width rows; the tables end one
+    # row short of, on and one row past a chunk boundary, or hold no rows.
+    rows = 0 if offset is None else CSV_CHUNK_VALUES // width + offset
+    table = _special_table(rows, width, width)
+    header = [f"c_{j}" for j in range(width)]
+    _write_csv(str(tmp_path / "new.csv"), header, table)
+    _frozen_write_csv(tmp_path / "old.csv", header, table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_rows_wider_than_the_chunk_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr("kuralim.cli.CSV_CHUNK_VALUES", 2)  # one row per chunk
+    table = _special_table(5, 3, 0)
+    _write_csv(str(tmp_path / "new.csv"), ["a", "b", "c"], table)
+    _frozen_write_csv(tmp_path / "old.csv", ["a", "b", "c"], table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ------------------------------------------------------------ YAML loaders
+#
+# parse_config reads documents with libyaml's CSafeLoader when PyYAML has
+# it, and with the pure-Python SafeLoader otherwise.  Both must give the
+# same documents for every config the program is documented to read.
+
+EDGE_SCALARS = (
+    "a: 1e-3\nb: .inf\nc: -.inf\nd: .NaN\ne: 0x10\nf: 010\ng: 1_000\nh: 1:2\n"
+    "i: 1.0e+3\nj: 1.5e3\nk: ~\nl: yes\nm: 0b101\nn: 0o10\no: 08\np: -0.0\n"
+    "q: .5\nr: 5.\ns: '1e-3'\nt: [1, 2.5, -0.0, 1e300]\nu: 2001-12-14\n"
+)
+
+
+def _benchmark_shaped_configs():
+    """Configs shaped like the benchmark's: shortest round-trip floats, a
+    65-entry tabulated kernel, exponent strings."""
+    offsets = np.linspace(-np.pi, np.pi, 65)
+    values = -np.sin(offsets) * 0.8 + 1e-17
+    return [
+        "mode: mfl-grid\nn_cells: 512\nkernel:\n  type: tabulated\n"
+        f"  offsets: [{', '.join(repr(float(u)) for u in offsets)}]\n"
+        f"  values: [{', '.join(repr(float(v)) for v in values)}]\n"
+        "  periodic: true\ndt: 0.005\nT: 0.3\noutput_every: 0.005\n"
+        "initial:\n  type: oa\n  alpha: -2.9427546039434133\n  beta: 0.2003848123449305\n"
+        "output: density.csv\n",
+        "mode: cl\nn_labels: 4096\nkernel: {type: kuramoto, coupling: 1.25}\n"
+        "dt: 2.5e-3\nT: 1.0\noutput_every: 1e-1\n"
+        "initial:\n  type: oa\n  alpha: 0.123\n  beta: 0.25\n  q: 6.0e-1\n",
+        "mode: ds\nN: 64\nkernel: {type: odd-trig, coefficients: [1.0, -0.25, 1e-3]}\n"
+        "dt: 0.01\nT: 2\ninitial: {type: uniform}\nseed: 12345678901234567890123\n",
+    ]
+
+
+def _readme_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"```yaml\n(.*?)```", readme, re.S)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_yaml_loaders_give_equal_documents():
+    corpus = [*_readme_configs(), *_benchmark_shaped_configs(), *SIM_CONFIGS.values(),
+              *NON_FINITE_KERNELS, EDGE_SCALARS]
+    assert len(corpus) > 10
+    for text in corpus:
+        # repr tells 1 from 1.0 and -0.0 from 0.0, and nan equals itself
+        docs = [repr(yaml.load(text, Loader=loader)) for loader in (yaml.SafeLoader, yaml.CSafeLoader)]
+        assert docs[0] == docs[1], text
+    edge = yaml.load(EDGE_SCALARS, Loader=yaml.CSafeLoader)
+    assert (edge["a"], edge["e"], edge["f"], edge["g"], edge["h"]) == ("1e-3", 16, 8, 1000, 62)
+    assert edge["b"] == np.inf
+
+
+@pytest.fixture(params=["default", "pure-python"])
+def loaded(request, monkeypatch):
+    """Every document that parse_config loads with the loader it should
+    use: CSafeLoader when PyYAML has it, SafeLoader when it is taken away."""
+    if request.param == "pure-python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    name = "CSafeLoader" if hasattr(yaml, "CSafeLoader") else "SafeLoader"
+    base = getattr(yaml, name)
+    loaded = []
+
+    class Recording(base):
+        def __init__(self, stream):
+            loaded.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, name, Recording)
+    return loaded
+
+
+def test_parse_config_loads_with_libyaml_or_falls_back(loaded):
+    text = SIM_CONFIGS["mfl-grid"] + "T: 1\n"
+    cfg = parse_config(text)
+    assert loaded == [text]
+    assert cfg.kernel == KuramotoSin(0.5) and cfg.size == 8 and cfg.t_end == 1.0
+    assert cfg.initial == {"type": "oa", "alpha": 0.4, "beta": 0.2}
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("mode: [unclosed\n", 2), ("mode: ds\n N: 4\n", 2), ("mode: ds\nN: @x\n", 2),
+     ("mode: ds\nN: 4\nT: 'open\n", 4), ("mode: ds\nN: *missing\n", 2)],
+)
+def test_malformed_config_exits_two_with_its_line(tmp_path, capsys, loaded, text, line):
+    with pytest.raises(ParseError, match=rf"^malformed config \(line {line}\): "):
+        parse_config(text)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed config (line {line}): ")
+    assert loaded == [text, text]
+
+
+# ------------------------------------------------------------ known defects
+
+
+@pytest.mark.parametrize("seed", [-1, -(10**23)])
+def test_negative_seed_exits_two(tmp_path, capsys, seed):
+    text = f"mode: ds\nN: 4\nseed: {seed}\nT: 0.1\ndt: 0.01\noutput: {tmp_path}/out.csv\n"
+    with pytest.raises(ValidationError, match="nonnegative integer seed"):
+        parse_config(text)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 2
+    assert _single_error_line(capsys) == "error: uniform initial data requires a nonnegative integer seed"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 10**23])
+def test_nonnegative_seeds_run(tmp_path, seed):
+    text = f"mode: ds\nN: 4\nseed: {seed}\nT: 0.02\ndt: 0.01\noutput: {tmp_path}/out.csv\n"
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 0
+    assert json.loads((tmp_path / "out.meta.json").read_text()) == {"seed": seed}
+
+
+def test_empty_initial_file_prints_one_error_line(tmp_path):
+    # A subprocess, so that a warning would reach stderr as it does for a user.
+    empty = _write(tmp_path, "empty.csv", "")
+    cfg = _write(
+        tmp_path, "run.yaml",
+        f"mode: cl\nn_labels: 4\nT: 0.0\ninitial: {{type: file, path: '{empty}'}}\n"
+        f"output: {tmp_path}/out.csv\n",
+    )
+    out = subprocess.run(
+        [sys.executable, "-m", "kuralim", "simulate", "--config", cfg],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stderr == f"error: cannot read numbers from {empty!r}: loadtxt: input contained no data: \"{empty}\"\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_density_csv_without_rows_exits_two(tmp_path, capsys):
+    grid = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 2\nT: 0.0\n")
+    traj = _write(tmp_path, "traj.csv", "t,f_0,f_1\n")
+    assert run_cli(["transform", "--config", grid, "--input", traj]) == 2
+    assert _single_error_line(capsys).startswith(f"error: cannot read numbers from {traj!r}")
+
+
+def test_cfl_refusal_prints_a_short_number(tmp_path, capsys):
+    cfg = _write(
+        tmp_path, "run.yaml",
+        "mode: mfl-grid\nn_cells: 8\nT: 0.1\ndt: 0.1\n"
+        "kernel: {type: odd-trig, coefficients: [1.0e308]}\n"
+        f"initial: {{type: oa, alpha: 0.3, beta: 0.5}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert re.fullmatch(
+        r"error: CFL number \d\.\d{5}e\+306 exceeds 0\.5 at t = 0\.1; need dt <= \S+",
+        _single_error_line(capsys),
     )

@@ -339,3 +339,47 @@ def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, 
         assert np.array_equal(field(masses), expected)
         # the matrix is reused; the fallback evaluates phi once per node
         assert len(calls) == (n if generic and not cached else 0)
+
+
+def _frozen_velocity_field(kernel, theta, nodes):
+    """``velocity_field``'s cached branch as it stood before it batched the
+    rows: one ``np.dot`` per row, frozen as the bitwise reference."""
+    rows = kernel.phi(np.asarray(theta, dtype=float)[:, None], nodes[None, :])
+    return lambda masses: np.array([np.dot(r, masses) for r in rows])
+
+
+def _mass_variants(n):
+    """Masses of n cells: fresh, with ±0.0, as strided and reversed views,
+    and over scales from 1e-300 to 1e300."""
+    rng = np.random.default_rng(n)
+    base = rng.choice([-1.0, 1.0], 2 * n) * rng.random(2 * n) / n
+    scaled = base * 10.0 ** rng.integers(-300, 301, 2 * n)
+    scaled[::5] = 0.0
+    scaled[1::7] = -0.0
+    return {
+        "fresh": base[:n].copy(),
+        "signed-zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        "scales": scaled[:n],
+        "strided": scaled[::2],
+        "reversed": scaled[::-2],
+        "list": list(scaled[n:]),
+    }
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1))],
+    ids=["tabulated", "odd-trig"],
+)
+@pytest.mark.parametrize("n", [1, 64, 512, 513])
+@pytest.mark.parametrize("anchor", [False, True], ids=["grid", "anchor"])
+def test_velocity_field_matches_frozen_dot_loop_bytes(kernel, n, anchor):
+    # The grid solver asks for n interfaces against n centers; the bridge's
+    # anchor flux asks for the single point 0 against n centers.
+    interfaces = np.arange(n) * (TWO_PI / n)
+    centers = interfaces + 0.5 * (TWO_PI / n)
+    theta = np.zeros(1) if anchor else interfaces
+    field = kernel.velocity_field(theta, centers)
+    frozen = _frozen_velocity_field(kernel, theta, centers)
+    for name, masses in _mass_variants(n).items():
+        assert field(masses).tobytes() == frozen(masses).tobytes(), name
