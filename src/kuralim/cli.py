@@ -46,9 +46,6 @@ from .verify import SUITES, run_suite
 
 MODES = ("ds", "cl", "mfl-spectral", "mfl-grid")
 SIZE_KEY = {"ds": "N", "cl": "n_labels", "mfl-spectral": "n_modes", "mfl-grid": "n_cells"}
-TOP_KEYS = {"mode", "kernel", "dt", "T", "output_every", "initial", "output", "seed"} | set(
-    SIZE_KEY.values()
-)
 INITIAL_TYPES = {
     "ds": ("uniform", "twisted", "oa", "file"),
     "cl": ("twisted", "oa", "file"),
@@ -90,115 +87,112 @@ class RunConfig:
 EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _finite_number(x):
-    """``x`` as a finite float, reading exponent-form strings; else None."""
+def _finite(x):
+    """``x`` as a finite float, reading exponent-form strings."""
     if isinstance(x, str) and EXPONENT_FLOAT.fullmatch(x):
         x = float(x)
-    if _is_number(x) and abs(x) <= sys.float_info.max:
+    if isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max:
         return float(x)
     return None
 
 
-def _finite_numbers(xs):
-    """A list of finite numbers read by :func:`_finite_number`; else None."""
-    if not isinstance(xs, list):
-        return None
-    out = [_finite_number(x) for x in xs]
-    return None if None in out else out
+def _positive(x):
+    x = _finite(x)
+    return x if x is not None and x > 0 else None
 
 
-def _build_kernel(spec, problems) -> InteractionKernel:
-    if spec is None:
-        spec = "kuramoto"
-    if isinstance(spec, str):
-        spec = {"type": spec}
-    if not isinstance(spec, dict):
-        problems.append("kernel must be a name or a mapping")
-        return KuramotoSin()
-    kind = spec.get("type")
-    if kind == "kuramoto":
-        extra = set(spec) - {"type", "coupling"}
-        if extra:
-            problems.append(f"unknown kernel keys {sorted(extra)}")
-        coupling = _finite_number(spec.get("coupling", 1.0))
-        if coupling is None:
-            problems.append("kernel coupling must be a finite number")
-            coupling = 1.0
-        return KuramotoSin(coupling)
-    if kind == "odd-trig":
-        extra = set(spec) - {"type", "coefficients"}
-        if extra:
-            problems.append(f"unknown kernel keys {sorted(extra)}")
-        coeffs = _finite_numbers(spec.get("coefficients"))
-        if not coeffs:
-            problems.append("odd-trig kernel needs a nonempty list of finite coefficients")
-            return KuramotoSin()
-        return OddTrig(tuple(coeffs))
-    if kind == "tabulated":
-        extra = set(spec) - {"type", "offsets", "values", "periodic"}
-        if extra:
-            problems.append(f"unknown kernel keys {sorted(extra)}")
-        offsets = _finite_numbers(spec.get("offsets"))
-        values = _finite_numbers(spec.get("values"))
-        if offsets is None or values is None or len(offsets) != len(values) or len(offsets) < 2:
-            problems.append("tabulated kernel needs matching lists of finite offsets/values")
-            return KuramotoSin()
-        periodic = spec.get("periodic", True)
-        if not isinstance(periodic, bool):
-            problems.append("tabulated kernel periodic flag must be boolean")
-            periodic = True
-        return TabulatedGradient(np.array(offsets), np.array(values), periodic)
-    problems.append(f"unknown kernel type {kind!r}")
-    return KuramotoSin()
+def _nonnegative(x):
+    x = _finite(x)
+    return x if x is not None and x >= 0 else None
 
 
-def _check_initial(spec, mode, problems) -> dict:
-    if not isinstance(spec, dict) or "type" not in spec:
-        problems.append("initial must be a mapping with a type key")
-        return {"type": "invalid"}
-    kind = spec["type"]
-    allowed = INITIAL_TYPES.get(mode, ())
-    if kind not in allowed:
-        problems.append(
-            f"initial type {kind!r} not supported for mode {mode!r} "
-            f"(allowed: {', '.join(allowed)})"
-        )
-        return dict(spec)
-    keys = {
-        "uniform": {"type"},
-        "twisted": {"type", "m", "q"},
-        "oa": {"type", "alpha", "beta", "q"},
-        "file": {"type", "path"},
-    }[kind]
-    extra = set(spec) - keys
+def _concentration(x):
+    x = _finite(x)
+    return x if x is not None and 0.0 <= x < 1.0 else None
+
+
+def _finite_list(xs):
+    out = [_finite(x) for x in xs] if isinstance(xs, list) else []
+    return out if out and None not in out else None
+
+
+def _winding(m):
+    # m is used as a float, so a winding past the float range is refused
+    return m if isinstance(m, int) and _finite(m) is not None else None
+
+
+def _flag(x):
+    return x if isinstance(x, bool) else None
+
+
+def _path(x):
+    return x if isinstance(x, str) else None
+
+
+# Key tables: key -> (reader, default, problem).  A reader returns the value
+# it reads, or None to report the problem.  A default of None marks a
+# required key; an OPTIONAL key that is absent stays out of the values.
+OPTIONAL = object()
+
+#: The run's scalars.  parse_config reads the PART_KEYS itself.
+RUN_KEYS = {
+    "dt": (_positive, 1e-3, "dt must be a positive number"),
+    "T": (_nonnegative, None, "T must be a nonnegative number"),
+    "output_every": (_positive, 0.1, "output_every must be a positive number"),
+}
+PART_KEYS = ("mode", *SIZE_KEY.values(), "kernel", "initial", "output", "seed")
+
+#: Kernel type -> its keys besides ``type``, which are its class's fields.
+KERNELS = {
+    "kuramoto": {"coupling": (_finite, 1.0, "kernel coupling must be a finite number")},
+    "odd-trig": {"coefficients": (_finite_list, None, "kernel needs finite coefficients")},
+    "tabulated": {
+        "offsets": (_finite_list, None, "tabulated kernel needs a list of finite offsets"),
+        "values": (_finite_list, None, "tabulated kernel needs a list of finite values"),
+        "periodic": (_flag, True, "tabulated kernel periodic flag must be boolean"),
+    },
+}
+KERNEL_CLASSES = {"kuramoto": KuramotoSin, "odd-trig": OddTrig, "tabulated": TabulatedGradient}
+
+#: Initial type -> its keys besides ``type``.  ``q`` rotates the labels.
+Q_ENTRY = (_finite, OPTIONAL, "initial q must be a finite number")
+INITIALS = {
+    "uniform": {},
+    "twisted": {"m": (_winding, None, "twisted initial needs integer winding m"), "q": Q_ENTRY},
+    "oa": {
+        "alpha": (_finite, None, "oa initial needs a finite alpha"),
+        "beta": (_concentration, None, "oa initial needs beta in [0, 1)"),
+        "q": Q_ENTRY,
+    },
+    "file": {"path": (_path, None, "file initial needs a path string")},
+}
+
+
+def _read(spec: dict, keys: dict, problems: list, what: str) -> dict:
+    """The values of ``spec`` read by the table ``keys``, defaults filled in.
+    An unknown ``what``, a missing key or a refused value adds a problem."""
+    extra = spec.keys() - keys.keys()
     if extra:
-        problems.append(f"unknown initial keys {sorted(extra)}")
-    spec = dict(spec)
-    if kind == "twisted":
-        m = spec.get("m")
-        # m is used as a float, so a winding past the float range is refused
-        if not isinstance(m, int) or isinstance(m, bool) or abs(m) > sys.float_info.max:
-            problems.append("twisted initial needs integer winding m")
-    if kind == "oa":
-        alpha = spec["alpha"] = _finite_number(spec.get("alpha"))
-        beta = spec["beta"] = _finite_number(spec.get("beta"))
-        if alpha is None:
-            problems.append("oa initial needs a finite alpha")
-        if beta is None or not 0.0 <= beta < 1.0:
-            problems.append("oa initial needs beta in [0, 1)")
-        if mode.startswith("mfl") and "q" in spec:
-            problems.append("oa initial q does not apply to density modes")
-    if kind in ("twisted", "oa") and "q" in spec:
-        spec["q"] = _finite_number(spec["q"])
-        if spec["q"] is None:
-            problems.append(f"{kind} initial q must be a finite number")
-    if kind == "file" and not isinstance(spec.get("path"), str):
-        problems.append("file initial needs a path string")
-    return spec
+        # YAML keys need not be strings
+        problems.append(f"unknown {what} {sorted(extra, key=str)}")
+    values = {}
+    for key, (reader, default, problem) in keys.items():
+        value = reader(spec[key]) if key in spec else default
+        if value is None:
+            problems.append(problem)
+        elif value is not OPTIONAL:
+            values[key] = value
+    return values
+
+
+def _read_typed(spec, tables: dict, problems: list, what: str):
+    """The type of the mapping ``spec`` and its values read by that type's table."""
+    # a tuple, as the type may be an unhashable value
+    if not isinstance(spec, dict) or spec.get("type") not in tuple(tables):
+        problems.append(f"{what} must be a mapping with type one of {', '.join(tables)}")
+        return None, {}
+    rest = {k: v for k, v in spec.items() if k != "type"}
+    return spec["type"], _read(rest, tables[spec["type"]], problems, f"{what} keys")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -210,20 +204,19 @@ def parse_config(text: str) -> RunConfig:
     try:
         # libyaml's parser when PyYAML has it; both give the same documents
         doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date, a too-long int
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
-        raise ParseError(f"malformed config{where}: {exc}") from exc
+        # the first line only: PyYAML's text goes on to quote the source
+        problem = (getattr(exc, "problem", None) or str(exc)).splitlines()[0]
+        raise ParseError(f"malformed config{where}: {problem}") from exc
     if doc is None:
         raise ParseError("empty config document")
     if not isinstance(doc, dict):
         raise ParseError("config must be a key-value mapping")
 
     problems: list[str] = []
-    unknown = set(doc) - TOP_KEYS
-    if unknown:
-        problems.append(f"unknown keys {sorted(unknown)}")
-
+    run = _read({k: v for k, v in doc.items() if k not in PART_KEYS}, RUN_KEYS, problems, "keys")
     mode = doc.get("mode")
     if mode not in MODES:
         problems.append(f"mode must be one of {', '.join(MODES)}")
@@ -236,39 +229,32 @@ def parse_config(text: str) -> RunConfig:
     size = doc.get(size_key)
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         problems.append(f"{size_key} must be a positive integer")
-        size = 1
     elif size > MAX_SIZE:
         problems.append(f"{size_key} must be at most {MAX_SIZE}")
 
-    dt = _finite_number(doc.get("dt", 1e-3))
-    if dt is None or dt <= 0:
-        problems.append("dt must be a positive number")
-        dt = 1e-3
-    t_end = _finite_number(doc.get("T"))
-    if t_end is None or t_end < 0:
-        problems.append("T must be a nonnegative number")
-        t_end = 0.0
-    output_every = _finite_number(doc.get("output_every", 0.1))
-    if output_every is None or output_every <= 0:
-        problems.append("output_every must be a positive number")
-        output_every = 0.1
-
-    kernel = _build_kernel(doc.get("kernel"), problems)
-    if mode == "mfl-spectral" and not (
-        isinstance(kernel, KuramotoSin) and kernel.coupling == 1.0
-    ):
+    spec = doc.get("kernel")
+    if spec is None or isinstance(spec, str):
+        spec = {"type": "kuramoto" if spec is None else spec}
+    kind, values = _read_typed(spec, KERNELS, problems, "kernel")
+    offsets, table = values.get("offsets"), values.get("values")
+    kernel = KuramotoSin()
+    if offsets and table and not 2 <= len(offsets) == len(table):
+        problems.append("tabulated kernel needs as many offsets as values, at least 2")
+    elif kind is not None and len(values) == len(KERNELS[kind]):
+        kernel = KERNEL_CLASSES[kind](**values)
+    if mode == "mfl-spectral" and kernel != KuramotoSin(1.0):
         problems.append("mfl-spectral supports only the unit-coupling sine kernel")
 
-    if "initial" not in doc:
-        # default to the mode's uniform state; for label dynamics that is
-        # the identity field, i.e. the single twist
-        initial = {"type": "twisted", "m": 1} if mode == "cl" else {"type": "uniform"}
-    else:
-        initial = _check_initial(doc["initial"], mode, problems)
+    # by default the mode's uniform state; for cl the identity field, one twist
+    spec = doc.get("initial", {"type": "twisted", "m": 1} if mode == "cl" else {"type": "uniform"})
+    tables = {name: INITIALS[name] for name in INITIAL_TYPES[mode]}
+    kind, values = _read_typed(spec, tables, problems, "initial")
+    initial = {"type": kind, **values}
+    if mode.startswith("mfl") and "q" in values:
+        problems.append("initial q rotates labels or particles; a density has neither")
 
     seed = doc.get("seed")
-    needs_seed = mode == "ds" and initial.get("type") == "uniform"
-    if needs_seed:
+    if mode == "ds" and initial["type"] == "uniform":
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             problems.append("uniform initial data requires a nonnegative integer seed")
     elif seed is not None:
@@ -284,9 +270,9 @@ def parse_config(text: str) -> RunConfig:
         mode=mode,
         kernel=kernel,
         size=size,
-        dt=dt,
-        t_end=t_end,
-        output_every=output_every,
+        dt=run["dt"],
+        t_end=run["T"],
+        output_every=run["output_every"],
         initial=initial,
         output=output,
         seed=seed,
@@ -329,30 +315,28 @@ def _load_initial(path: str, size: int, columns: int) -> np.ndarray:
 def _build_initial(config: RunConfig):
     spec = config.initial
     kind = spec["type"]
+    q = spec.get("q", 0.0)
+    p = OAPoint(spec["alpha"], spec["beta"]) if kind == "oa" else None
     if config.mode == "ds":
         if kind == "uniform":
             rng = np.random.default_rng(config.seed)
             return ParticleState(rng.uniform(0.0, TWO_PI, config.size))
         if kind == "twisted":
-            return discrete_twisted_state(config.size, spec["m"], float(spec.get("q", 0.0)))
+            return discrete_twisted_state(config.size, spec["m"], q)
         if kind == "oa":
-            p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
-            values = manifold_field(LabelGrid(config.size), p, float(spec.get("q", 0.0)))
-            return ParticleState(values.values)
+            return ParticleState(manifold_field(LabelGrid(config.size), p, q).values)
         return ParticleState(_load_initial(spec["path"], config.size, 1)[:, 0])
     if config.mode == "cl":
         grid = LabelGrid(config.size)
         if kind == "twisted":
-            return twisted_field(grid, spec["m"], float(spec.get("q", 0.0)))
+            return twisted_field(grid, spec["m"], q)
         if kind == "oa":
-            p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
-            return manifold_field(grid, p, float(spec.get("q", 0.0)))
+            return manifold_field(grid, p, q)
         return LabelField(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
     if config.mode == "mfl-spectral":
         if kind == "uniform":
             return FourierDensity(np.zeros(config.size, dtype=complex))
         if kind == "oa":
-            p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
             return FourierDensity.from_oa(p, config.size)
         data = _load_initial(spec["path"], config.size, 2)
         return FourierDensity(data[:, 0] + 1j * data[:, 1])
@@ -360,7 +344,6 @@ def _build_initial(config: RunConfig):
     if kind == "uniform":
         return CircularDensity(grid, np.full(config.size, 1.0 / TWO_PI))
     if kind == "oa":
-        p = OAPoint(float(spec["alpha"]), float(spec["beta"]))
         return oa_cell_averages(p, grid)
     return CircularDensity(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
 
@@ -378,9 +361,16 @@ def _write_meta(output: str, config: RunConfig) -> None:
         fh.write("\n")
 
 
+def _read_config(path: str) -> RunConfig:
+    try:
+        with open(path) as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot decode config {path!r}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        config = parse_config(fh.read())
+    config = _read_config(args.config)
     initial = _build_initial(config)
     output = _resolve_output(config, args, fallback="run.csv")
 
@@ -407,7 +397,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_density_csv(path: str, n_cells: int) -> DensityTrajectory:
-    with open(path) as fh:
+    # a header that does not decode is not the expected one either
+    with open(path, errors="replace") as fh:
         header = fh.readline().strip().split(",")
     expected = ["t"] + [f"f_{j}" for j in range(n_cells)]
     if header != expected:
@@ -419,8 +410,7 @@ def _read_density_csv(path: str, n_cells: int) -> DensityTrajectory:
 
 
 def _cmd_transform(args) -> int:
-    with open(args.config) as fh:
-        config = parse_config(fh.read())
+    config = _read_config(args.config)
     if config.mode != "mfl-grid":
         raise ValidationError("transform requires a config with mode mfl-grid")
     input_path = args.input or config.output

@@ -1,4 +1,5 @@
 """Configuration parsing and end-to-end command runs."""
+import dataclasses
 import json
 import os
 import re
@@ -10,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import kuralim
+from kuralim import cli
 from kuralim import (
     TWO_PI,
     KuramotoSin,
@@ -926,14 +929,25 @@ def test_parse_config_loads_with_libyaml_or_falls_back(loaded):
 @pytest.mark.parametrize(
     "text, line",
     [("mode: [unclosed\n", 2), ("mode: ds\n N: 4\n", 2), ("mode: ds\nN: @x\n", 2),
-     ("mode: ds\nN: 4\nT: 'open\n", 4), ("mode: ds\nN: *missing\n", 2)],
+     ("mode: ds\nN: 4\nT: 'open\n", 4), ("mode: ds\nN: *missing\n", 2),
+     ("mode: ds\n\x00N: 4\n", None)],
 )
 def test_malformed_config_exits_two_with_its_line(tmp_path, capsys, loaded, text, line):
-    with pytest.raises(ParseError, match=rf"^malformed config \(line {line}\): "):
+    # a NUL byte has a position but no line
+    prefix = "malformed config: " if line is None else f"malformed config (line {line}): "
+    with pytest.raises(ParseError, match="^" + re.escape(prefix)):
         parse_config(text)
     assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: malformed config (line {line}): ")
+    assert _single_error_line(capsys).startswith(f"error: {prefix}")
     assert loaded == [text, text]
+
+
+@pytest.mark.parametrize("value", ["1" + "0" * 5000, "2001-13-45"], ids=["long-int", "bad-date"])
+def test_scalars_python_cannot_build_exit_two(tmp_path, capsys, value):
+    # PyYAML raises ValueError, not a YAMLError, for these
+    text = f"mode: cl\nn_labels: 4\nT: 1\nwhen: {value}\n"
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 2
+    assert _single_error_line(capsys).startswith("error: malformed config: ")
 
 
 # ------------------------------------------------------------ known defects
@@ -992,3 +1006,375 @@ def test_cfl_refusal_prints_a_short_number(tmp_path, capsys):
         r"error: CFL number \d\.\d{5}e\+306 exceeds 0\.5 at t = 0\.1; need dt <= \S+",
         _single_error_line(capsys),
     )
+
+
+# ------------------------------------------------------------ config tables
+#
+# The key tables replaced three hand-coded readers.  Below is that code as
+# it was, and a property test that both give the same decision on configs
+# one change away from a valid one.
+
+_FROZEN_MODES = ("ds", "cl", "mfl-spectral", "mfl-grid")
+_FROZEN_SIZE_KEY = {"ds": "N", "cl": "n_labels", "mfl-spectral": "n_modes", "mfl-grid": "n_cells"}
+_FROZEN_TOP_KEYS = {"mode", "kernel", "dt", "T", "output_every", "initial", "output", "seed"} | set(
+    _FROZEN_SIZE_KEY.values()
+)
+_FROZEN_INITIAL_TYPES = {
+    "ds": ("uniform", "twisted", "oa", "file"),
+    "cl": ("twisted", "oa", "file"),
+    "mfl-spectral": ("uniform", "oa", "file"),
+    "mfl-grid": ("uniform", "oa", "file"),
+}
+_FROZEN_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
+
+
+def _frozen_is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _frozen_finite_number(x):
+    """``x`` as a finite float, reading exponent-form strings; else None."""
+    if isinstance(x, str) and _FROZEN_EXPONENT_FLOAT.fullmatch(x):
+        x = float(x)
+    if _frozen_is_number(x) and abs(x) <= sys.float_info.max:
+        return float(x)
+    return None
+
+
+def _frozen_finite_numbers(xs):
+    """A list of finite numbers read by :func:`_frozen_finite_number`; else None."""
+    if not isinstance(xs, list):
+        return None
+    out = [_frozen_finite_number(x) for x in xs]
+    return None if None in out else out
+
+
+def _frozen_build_kernel(spec, problems):
+    if spec is None:
+        spec = "kuramoto"
+    if isinstance(spec, str):
+        spec = {"type": spec}
+    if not isinstance(spec, dict):
+        problems.append("kernel must be a name or a mapping")
+        return KuramotoSin()
+    kind = spec.get("type")
+    if kind == "kuramoto":
+        extra = set(spec) - {"type", "coupling"}
+        if extra:
+            problems.append(f"unknown kernel keys {sorted(extra)}")
+        coupling = _frozen_finite_number(spec.get("coupling", 1.0))
+        if coupling is None:
+            problems.append("kernel coupling must be a finite number")
+            coupling = 1.0
+        return KuramotoSin(coupling)
+    if kind == "odd-trig":
+        extra = set(spec) - {"type", "coefficients"}
+        if extra:
+            problems.append(f"unknown kernel keys {sorted(extra)}")
+        coeffs = _frozen_finite_numbers(spec.get("coefficients"))
+        if not coeffs:
+            problems.append("odd-trig kernel needs a nonempty list of finite coefficients")
+            return KuramotoSin()
+        return OddTrig(tuple(coeffs))
+    if kind == "tabulated":
+        extra = set(spec) - {"type", "offsets", "values", "periodic"}
+        if extra:
+            problems.append(f"unknown kernel keys {sorted(extra)}")
+        offsets = _frozen_finite_numbers(spec.get("offsets"))
+        values = _frozen_finite_numbers(spec.get("values"))
+        if offsets is None or values is None or len(offsets) != len(values) or len(offsets) < 2:
+            problems.append("tabulated kernel needs matching lists of finite offsets/values")
+            return KuramotoSin()
+        periodic = spec.get("periodic", True)
+        if not isinstance(periodic, bool):
+            problems.append("tabulated kernel periodic flag must be boolean")
+            periodic = True
+        return TabulatedGradient(np.array(offsets), np.array(values), periodic)
+    problems.append(f"unknown kernel type {kind!r}")
+    return KuramotoSin()
+
+
+def _frozen_check_initial(spec, mode, problems) -> dict:
+    if not isinstance(spec, dict) or "type" not in spec:
+        problems.append("initial must be a mapping with a type key")
+        return {"type": "invalid"}
+    kind = spec["type"]
+    allowed = _FROZEN_INITIAL_TYPES.get(mode, ())
+    if kind not in allowed:
+        problems.append(
+            f"initial type {kind!r} not supported for mode {mode!r} "
+            f"(allowed: {', '.join(allowed)})"
+        )
+        return dict(spec)
+    keys = {
+        "uniform": {"type"},
+        "twisted": {"type", "m", "q"},
+        "oa": {"type", "alpha", "beta", "q"},
+        "file": {"type", "path"},
+    }[kind]
+    extra = set(spec) - keys
+    if extra:
+        problems.append(f"unknown initial keys {sorted(extra)}")
+    spec = dict(spec)
+    if kind == "twisted":
+        m = spec.get("m")
+        # m is used as a float, so a winding past the float range is refused
+        if not isinstance(m, int) or isinstance(m, bool) or abs(m) > sys.float_info.max:
+            problems.append("twisted initial needs integer winding m")
+    if kind == "oa":
+        alpha = spec["alpha"] = _frozen_finite_number(spec.get("alpha"))
+        beta = spec["beta"] = _frozen_finite_number(spec.get("beta"))
+        if alpha is None:
+            problems.append("oa initial needs a finite alpha")
+        if beta is None or not 0.0 <= beta < 1.0:
+            problems.append("oa initial needs beta in [0, 1)")
+        if mode.startswith("mfl") and "q" in spec:
+            problems.append("oa initial q does not apply to density modes")
+    if kind in ("twisted", "oa") and "q" in spec:
+        spec["q"] = _frozen_finite_number(spec["q"])
+        if spec["q"] is None:
+            problems.append(f"{kind} initial q must be a finite number")
+    if kind == "file" and not isinstance(spec.get("path"), str):
+        problems.append("file initial needs a path string")
+    return spec
+
+
+def _frozen_parse_config(text: str) -> cli.RunConfig:
+    """Parse and validate a YAML run configuration.
+
+    Raises :class:`ParseError` for malformed documents and
+    :class:`ValidationError` listing every violation at once.
+    """
+    try:
+        # libyaml's parser when PyYAML has it; both give the same documents
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" (line {mark.line + 1})" if mark is not None else ""
+        raise ParseError(f"malformed config{where}: {exc}") from exc
+    if doc is None:
+        raise ParseError("empty config document")
+    if not isinstance(doc, dict):
+        raise ParseError("config must be a key-value mapping")
+
+    problems: list[str] = []
+    unknown = set(doc) - _FROZEN_TOP_KEYS
+    if unknown:
+        problems.append(f"unknown keys {sorted(unknown)}")
+
+    mode = doc.get("mode")
+    if mode not in _FROZEN_MODES:
+        problems.append(f"mode must be one of {', '.join(_FROZEN_MODES)}")
+        raise ValidationError("; ".join(problems))
+
+    size_key = _FROZEN_SIZE_KEY[mode]
+    wrong_sizes = [k for k in _FROZEN_SIZE_KEY.values() if k != size_key and k in doc]
+    if wrong_sizes:
+        problems.append(f"size keys {wrong_sizes} do not apply to mode {mode!r}")
+    size = doc.get(size_key)
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        problems.append(f"{size_key} must be a positive integer")
+        size = 1
+    elif size > cli.MAX_SIZE:
+        problems.append(f"{size_key} must be at most {cli.MAX_SIZE}")
+
+    dt = _frozen_finite_number(doc.get("dt", 1e-3))
+    if dt is None or dt <= 0:
+        problems.append("dt must be a positive number")
+        dt = 1e-3
+    t_end = _frozen_finite_number(doc.get("T"))
+    if t_end is None or t_end < 0:
+        problems.append("T must be a nonnegative number")
+        t_end = 0.0
+    output_every = _frozen_finite_number(doc.get("output_every", 0.1))
+    if output_every is None or output_every <= 0:
+        problems.append("output_every must be a positive number")
+        output_every = 0.1
+
+    kernel = _frozen_build_kernel(doc.get("kernel"), problems)
+    if mode == "mfl-spectral" and not (
+        isinstance(kernel, KuramotoSin) and kernel.coupling == 1.0
+    ):
+        problems.append("mfl-spectral supports only the unit-coupling sine kernel")
+
+    if "initial" not in doc:
+        # default to the mode's uniform state; for label dynamics that is
+        # the identity field, i.e. the single twist
+        initial = {"type": "twisted", "m": 1} if mode == "cl" else {"type": "uniform"}
+    else:
+        initial = _frozen_check_initial(doc["initial"], mode, problems)
+
+    seed = doc.get("seed")
+    needs_seed = mode == "ds" and initial.get("type") == "uniform"
+    if needs_seed:
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            problems.append("uniform initial data requires a nonnegative integer seed")
+    elif seed is not None:
+        problems.append("seed only applies to ds runs with uniform initial data")
+
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        problems.append("output must be a path string")
+
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return cli.RunConfig(
+        mode=mode,
+        kernel=kernel,
+        size=size,
+        dt=dt,
+        t_end=t_end,
+        output_every=output_every,
+        initial=initial,
+        output=output,
+        seed=seed,
+    )
+
+
+_DIFF_BASES = [
+    {"mode": "ds", "N": 4, "T": 1, "initial": {"type": "uniform"}, "seed": 3},
+    {"mode": "ds", "N": 4, "dt": 0.01, "T": 1.0, "output_every": 0.1, "output": "run.csv",
+     "kernel": {"type": "odd-trig", "coefficients": [1.0, 0.5]},
+     "initial": {"type": "twisted", "m": 2, "q": 0.5}},
+    {"mode": "ds", "N": 4, "T": 1,
+     "kernel": {"type": "tabulated", "offsets": [-1.0, 1.0], "values": [1.0, -1.0], "periodic": False},
+     "initial": {"type": "oa", "alpha": 0.3, "beta": 0.2, "q": 0.1}},
+    {"mode": "cl", "n_labels": 8, "T": 1, "kernel": {"type": "kuramoto", "coupling": 1.5},
+     "initial": {"type": "twisted", "m": 1}},
+    {"mode": "cl", "n_labels": 8, "T": 1, "kernel": "kuramoto",
+     "initial": {"type": "oa", "alpha": 0.3, "beta": 0.2}},
+    {"mode": "cl", "n_labels": 8, "T": 0, "initial": {"type": "file", "path": "init.csv"}},
+    {"mode": "mfl-spectral", "n_modes": 8, "T": 1, "initial": {"type": "oa", "alpha": -0.3, "beta": 0.5}},
+    {"mode": "mfl-spectral", "n_modes": 8, "T": 1, "kernel": {"type": "kuramoto", "coupling": 1.0},
+     "initial": {"type": "uniform"}},
+    {"mode": "mfl-grid", "n_cells": 8, "T": 1, "initial": {"type": "oa", "alpha": 0.3, "beta": 0.2},
+     "kernel": {"type": "tabulated", "offsets": [-3.0, 0.0, 3.0], "values": [1.0, 0.0, -1.0]}},
+    {"mode": "mfl-grid", "n_cells": 8, "T": 1, "kernel": None, "initial": {"type": "file", "path": "f.csv"}},
+]
+
+
+def _diff_paths(base):
+    """The keys to change in ``base``: every top-level key, and in its
+    kernel and initial mappings their type's keys, ``type`` and one more."""
+    paths = [(key,) for key in (*sorted(_FROZEN_TOP_KEYS), "bogus")]
+    for part, tables in (("kernel", cli.KERNELS), ("initial", cli.INITIALS)):
+        kind = base[part]["type"] if isinstance(base.get(part), dict) else None
+        paths += [(part, key) for key in (*tables.get(kind, {}), "type", "bogus")]
+    return paths
+
+
+_DIFF_CASES = [(base, path) for base in _DIFF_BASES for path in _diff_paths(base)]
+_DELETE = object()
+_DIFF_VALUES = [
+    _DELETE, None, "x", "", [], {}, [1.0], [0.0, -1.0], [-1.0, 0.0, 1.0], [1.0, "x"],
+    {"type": "kuramoto"}, True, False, 0, 1, -1, 2, 0.5, -0.0, 1.0, -2.5, 2**1023, 10**400,
+    float("inf"), float("-inf"), float("nan"), "1e-1", "-2E0", "1e400", ".5e1", "1e-3x",
+    MAX_SIZE - 1, MAX_SIZE, MAX_SIZE + 1, 0.9999999999999999, "kuramoto", "odd-trig",
+    "tabulated", "uniform", "twisted", "oa", "file", *cli.MODES,
+]
+
+
+def _changed(base, path, value):
+    """``base`` with the key at ``path`` set to ``value``, or deleted."""
+    doc = json.loads(json.dumps(base))  # a deep copy
+    part = doc
+    for key in path[:-1]:
+        if not isinstance(part.get(key), dict):
+            part[key] = {}
+        part = part[key]
+    if value is _DELETE:
+        part.pop(path[-1], None)
+    else:
+        part[path[-1]] = value
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
+
+
+def _decision(parse, text):
+    """The config ``parse`` makes of ``text``, kernels by repr, or the
+    type of its refusal."""
+    try:
+        cfg = parse(text)
+    except kuralim.KuralimError as exc:
+        return type(exc)
+    return dataclasses.replace(cfg, kernel=repr(cfg.kernel))
+
+
+def test_diff_bases_are_valid():
+    for base in _DIFF_BASES:
+        assert isinstance(_decision(parse_config, yaml.safe_dump(base)), cli.RunConfig), base
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(case=st.sampled_from(_DIFF_CASES), value=st.sampled_from(_DIFF_VALUES))
+@example(case=(_DIFF_BASES[0], ("kernel",)), value={})
+@example(case=(_DIFF_BASES[0], ("kernel",)), value=[])
+@example(case=(_DIFF_BASES[1], ("kernel",)), value=None)
+@example(case=(_DIFF_BASES[1], ("kernel",)), value="odd-trig")
+@example(case=(_DIFF_BASES[2], ("kernel", "values")), value=[1.0, 0.0, -1.0])
+@example(case=(_DIFF_BASES[2], ("kernel", "offsets")), value=[0.0, -1.0])
+@example(case=(_DIFF_BASES[3], ("initial", "m")), value=True)
+@example(case=(_DIFF_BASES[0], ("seed",)), value=-1)
+@example(case=(_DIFF_BASES[6], ("initial", "beta")), value=1.0)
+@example(case=(_DIFF_BASES[8], ("initial", "q")), value=0.5)
+def test_parse_config_decides_as_the_frozen_readers(case, value):
+    text = _changed(*case, value)
+    assert _decision(parse_config, text) == _decision(_frozen_parse_config, text), text
+
+
+@pytest.mark.parametrize("mode, size_key", [("mfl-grid", "n_cells"), ("mfl-spectral", "n_modes")])
+def test_oa_q_is_refused_in_density_modes(tmp_path, capsys, mode, size_key):
+    text = f"mode: {mode}\n{size_key}: 8\nT: 0\ninitial: {{type: oa, alpha: 0.3, beta: 0.2, q: 0.5}}\n"
+    with pytest.raises(ValidationError):
+        parse_config(text)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 2
+    assert re.search(r"\bq\b", _single_error_line(capsys))
+
+
+def test_tabulated_mismatch_is_listed_with_the_other_problems():
+    text = (
+        "mode: mfl-grid\nn_cells: 8\nT: 1\ndt: -1\n"
+        "kernel: {type: tabulated, offsets: [-3.0, 0.0, 3.0], values: [1.0, -1.0]}\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert "as many offsets as values" in str(err.value)
+    assert "dt must be a positive number" in str(err.value)
+
+
+def test_keys_of_any_type_are_refused_as_unknown():
+    for text in ("1: 2\nfoo: 3\n", "kernel: {type: kuramoto, 1: 2, foo: 3}\n"):
+        with pytest.raises(ValidationError, match=r"unknown (kernel )?keys \[1, 'foo'\]"):
+            parse_config("mode: cl\nn_labels: 4\nT: 1\n" + text)
+
+
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_bytes(b"\xff\xfe\x00mode: ds\n")
+    assert run_cli(["simulate", "--config", str(path)]) == 2
+    assert _single_error_line(capsys).startswith(f"error: cannot decode config {str(path)!r}")
+
+
+def test_non_utf8_density_header_exits_two(tmp_path, capsys):
+    grid = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 2\nT: 0.0\n")
+    traj = tmp_path / "traj.csv"
+    traj.write_bytes(b"t,f_0\xff,f_1\n0.0,0.5,0.5\n")
+    assert run_cli(["transform", "--config", grid, "--input", str(traj)]) == 2
+    assert _single_error_line(capsys) == f"error: input {str(traj)!r} is not a density trajectory with 2 cells"
+
+
+def test_readme_documents_the_config_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.search(r"### simulate\n(.*?)\n### ", readme, re.S).group(1)
+    (example,) = re.findall(r"```yaml\n(.*?)```", section, re.S)
+    text = re.sub(r"```.*?```", "", section, flags=re.S)
+    # the keys of the example, its comments included
+    listed = set(re.findall(r"([A-Za-z_]\w*):", example))
+    named = set(re.findall(r"`([^`]+)`", text)) | set(re.findall(r"[\w-]+", example))
+    kernel_keys = {key for keys in cli.KERNELS.values() for key in keys}
+    initial_keys = {key for keys in cli.INITIALS.values() for key in keys}
+    table_keys = {*cli.RUN_KEYS, *cli.PART_KEYS, *kernel_keys, *initial_keys, "type"}
+    assert table_keys <= named, table_keys - named
+    assert {*cli.KERNELS, *cli.INITIALS, *cli.MODES} <= named
+    assert listed <= table_keys, listed - table_keys
+    listed_types = set(re.findall(r"type: ([\w-]+)", example))
+    assert listed_types <= {*cli.KERNELS, *cli.INITIALS}, listed_types
