@@ -10,6 +10,8 @@ sidecar next to the output.
 from __future__ import annotations
 
 import argparse
+import gc
+import itertools
 import json
 import os
 import re
@@ -62,8 +64,18 @@ MAX_OA_ROWS = 10**7
 #: before any array is built.
 MAX_SIZE = 10**7
 
-#: Most values :func:`_write_csv` formats in one ``%`` operation (about
-#: 400 kB of text); a row wider than this is formatted alone.
+#: Deepest nesting of collections a config may have; a valid one nests three
+#: deep.  The parsers build a document by recursion, one level per nesting:
+#: libyaml's crashes the process far past this, PyYAML's own raises RecursionError.
+MAX_DEPTH = 100
+
+# Every collection in a YAML document starts at one of these marks, each at
+# its own: a flow bracket, a mapping's ':' or '?', or a block sequence's '-'.
+COLLECTION_MARK = re.compile(r"[\[{:?]|-(?=\s|\Z)")
+
+#: Most cells :func:`_write_csv` writes with one ``%`` operation (about
+#: 400 kB of text), counted by header columns; a row wider than this is
+#: formatted alone.
 CSV_CHUNK_VALUES = 1 << 14
 
 
@@ -195,15 +207,35 @@ def _read_typed(spec, tables: dict, problems: list, what: str):
     return spec["type"], _read(rest, tables[spec["type"]], problems, f"{what} keys")
 
 
+def _check_depth(text: str, loader) -> None:
+    """Refuse a document nested deeper than :data:`MAX_DEPTH`.  Only a text
+    with more marks than that is parsed for it, and only up to that depth."""
+    if len(COLLECTION_MARK.findall(text)) <= MAX_DEPTH:
+        return
+    depth = 0
+    for event in yaml.parse(text, Loader=loader):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise yaml.MarkedYAMLError(
+                    problem=f"collections nested deeper than {MAX_DEPTH}",
+                    problem_mark=event.start_mark,
+                )
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
     Raises :class:`ParseError` for malformed documents and
     :class:`ValidationError` listing every violation at once.
     """
+    # libyaml's parser when PyYAML has it; both give the same documents
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        # libyaml's parser when PyYAML has it; both give the same documents
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        _check_depth(text, loader)
+        doc = yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a bad date, a too-long int
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1})" if mark is not None else ""
@@ -279,15 +311,22 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _write_csv(path: str, header: list[str], table: np.ndarray) -> None:
+def _write_csv(path: str, header: list[str], table: np.ndarray, prefixes=None) -> None:
     """Write a 2-D float table under ``header``, one ``%.16e`` cell per value,
-    formatting each chunk of :data:`CSV_CHUNK_VALUES` values (or one row) with one ``%``."""
-    line = ",".join(["%.16e"] * table.shape[1]) + "\n"
-    rows = max(1, CSV_CHUNK_VALUES // table.shape[1])
+    formatting each chunk of :data:`CSV_CHUNK_VALUES` cells (or one row) with one ``%``.
+    ``prefixes``, if given, is an iterator of one text per row, written before its cells:
+    the leading columns, whose repeated values the caller formats once."""
+    cells = ",".join(["%.16e"] * table.shape[1]) + "\n"
+    rows = max(1, CSV_CHUNK_VALUES // len(header))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in np.split(table, range(rows, len(table), rows)):
-            fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for start in range(0, len(table), rows):
+            chunk = table[start:start + rows]
+            if prefixes is None:
+                line = cells * len(chunk)
+            else:
+                line = cells.join(itertools.islice(prefixes, len(chunk))) + cells
+            fh.write(line % tuple(chunk.ravel().tolist()))
 
 
 def _loadtxt(path: str, **kwargs) -> np.ndarray:
@@ -429,12 +468,11 @@ def _cmd_transform(args) -> int:
     )
 
     output = args.output or os.path.splitext(input_path)[0] + ".transform.csv"
-    table = np.column_stack((
-        np.repeat(result.times, n_labels),
-        np.tile(result.label_grid.midpoints, len(result.times)),
-        result.fields.ravel(),
-    ))
-    _write_csv(output, ["t", "xi", "x"], table)
+    # each time and label is formatted once; a row is "t,xi," and its field value
+    times = ["%.16e," % t for t in result.times.tolist()]
+    labels = ["%.16e," % xi for xi in result.label_grid.midpoints.tolist()]
+    prefixes = (t + xi for t in times for xi in labels)
+    _write_csv(output, ["t", "xi", "x"], result.fields.reshape(-1, 1), prefixes)
 
     drift_path = os.path.splitext(output)[0] + ".drift.json"
     with open(drift_path, "w", newline="") as fh:
@@ -587,4 +625,8 @@ def run_cli(argv=None) -> int:
 
 
 def console_main() -> None:
+    """The ``kuralim`` command.  What is loaded by now lives until exit;
+    frozen, neither a collection in the run nor the exit scans it again."""
+    gc.freeze()
+    gc.enable()
     raise SystemExit(run_cli())

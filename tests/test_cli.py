@@ -691,6 +691,69 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("module", ["kuralim", "kuralim.cli"])
+def test_import_leaves_the_collector_as_the_caller_set_it(module, enabled):
+    # Importing pauses the collector; only the console entry point freezes.
+    code = (
+        f"import gc\ngc.{'enable' if enabled else 'disable'}()\nimport {module}\n"
+        "print(gc.isenabled(), gc.get_freeze_count())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == [str(enabled), "0"]
+
+
+def test_console_entry_point_freezes_and_collects_again():
+    code = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+        "sys.argv = ['kuralim', 'version']\n"
+        "runpy.run_module('kuralim', run_name='__main__')"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines() == [f"kuralim {kuralim.__version__}", "True True"]
+
+
+def _console(*args):
+    """``python -m kuralim`` with ``args`` in a child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "kuralim", *args], env=_src_env(), capture_output=True, text=True
+    )
+
+
+def test_console_path_writes_the_bytes_of_run_cli(tmp_path):
+    text = (
+        "mode: mfl-grid\nn_cells: 16\ndt: 0.01\nT: 0.05\noutput_every: 0.01\n"
+        "kernel: {type: tabulated, offsets: [-3.141592653589793, 0.0, 3.141592653589793], "
+        "values: [0.0, 1.0, 0.0]}\ninitial: {type: oa, alpha: 0.4, beta: 0.3}\n"
+    )
+    cfg = _write(tmp_path, "grid.yaml", text)
+    for side in ("lib", "console"):
+        (tmp_path / side).mkdir()
+        grid, fields = str(tmp_path / side / "grid.csv"), str(tmp_path / side / "fields.csv")
+        simulate = ["simulate", "--config", cfg, "--output", grid]
+        transform = ["transform", "--config", cfg, "--input", grid, "--n-labels", "7", "--output", fields]
+        for args in (simulate, transform):
+            if side == "lib":
+                assert run_cli(args) == 0
+            else:
+                out = _console(*args)
+                assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+    for name in ("grid.csv", "fields.csv", "fields.drift.json"):
+        assert (tmp_path / "console" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    bad = _console("simulate", "--config", _write(tmp_path, "bad.yaml", "mode: cl\nn_labels: 4\nT: 1\nbogus: 1\n"))
+    assert bad.returncode == 2
+    assert bad.stderr == "error: unknown keys ['bogus']\n"
+    control = _console("verify", "spectrum", "--negative-control")
+    assert control.returncode == 1
+    assert json.loads(control.stdout)["pass"] is False
+    assert control.stderr.startswith("spectrum: FAIL")
+
+
 def test_import_loads_no_scipy():
     code = "import sys, kuralim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
@@ -763,20 +826,50 @@ def test_simulate_csv_bytes_match_per_float_writer(tmp_path, mode):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_transform_csv_bytes_match_per_float_writer(tmp_path):
-    cfg = _grid_run(tmp_path)
-    args = ["--n-labels", "5", "--drift-scale", "0.5", "--output", str(tmp_path / "new.csv")]
+def _assert_transform_bytes(tmp_path, cfg, n_labels):
+    """``transform`` of the 8-cell run of ``cfg`` writes the per-float rows."""
+    args = ["--n-labels", str(n_labels), "--drift-scale", "0.5", "--output", str(tmp_path / "new.csv")]
     assert run_cli(["transform", "--config", cfg, *args]) == 0
     traj = _read_density_csv(str(tmp_path / "g.csv"), 8)
-    result = mfl_to_cl_circle(traj, KuramotoSin(), LabelGrid(5), drift_scale=0.5)
+    result = mfl_to_cl_circle(traj, KuramotoSin(), LabelGrid(n_labels), drift_scale=0.5)
     mids = result.label_grid.midpoints
     rows = (
         [t, mids[j], result.fields[k, j]]
         for k, t in enumerate(result.times)
-        for j in range(5)
+        for j in range(n_labels)
     )
     _frozen_write_csv(tmp_path / "old.csv", ["t", "xi", "x"], rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    return result
+
+
+def test_transform_csv_bytes_match_per_float_writer(tmp_path):
+    _assert_transform_bytes(tmp_path, _grid_run(tmp_path), 5)
+
+
+@pytest.mark.parametrize(
+    "n_labels, chunk", [(1, None), (1, 6), (5, 3), (5, 6), (5, 12), (5, 15), (5, 21)]
+)
+def test_transform_csv_bytes_match_per_float_writer_at_the_edges(tmp_path, monkeypatch, n_labels, chunk):
+    # A chunk holds CSV_CHUNK_VALUES // 3 rows: 1, 2, 4 or 7 rows split
+    # frames of 5 labels across chunks, 5 rows end each chunk on a frame.
+    if chunk is not None:
+        monkeypatch.setattr("kuralim.cli.CSV_CHUNK_VALUES", chunk)
+    result = _assert_transform_bytes(tmp_path, _grid_run(tmp_path), n_labels)
+    assert result.fields.shape == (6, n_labels)
+
+
+@pytest.mark.parametrize("n_labels", [1, 5])
+def test_transform_of_a_single_row_density_csv_matches_per_float_writer(tmp_path, n_labels):
+    cfg = _write(
+        tmp_path, "g.yaml",
+        "mode: mfl-grid\nn_cells: 8\nkernel: kuramoto\nT: 0.0\n"
+        f"initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert len((tmp_path / "g.csv").read_text().splitlines()) == 2
+    result = _assert_transform_bytes(tmp_path, cfg, n_labels)
+    assert result.fields.shape == (1, n_labels)
 
 
 def test_oa_csv_bytes_match_per_float_writer(tmp_path):
@@ -985,6 +1078,95 @@ def test_empty_initial_file_prints_one_error_line(tmp_path):
     assert out.returncode == 2
     assert out.stderr == f"error: cannot read numbers from {empty!r}: loadtxt: input contained no data: \"{empty}\"\n"
     assert not (tmp_path / "out.csv").exists()
+
+
+def _nested(kind, n):
+    """A ds config whose ``N`` nests ``n`` collections of ``kind`` deep."""
+    if kind == "flow-list":
+        return "mode: ds\nN: " + "[" * n + "]" * n + "\n"
+    if kind == "flow-map":
+        return "mode: ds\nN: " + "{a: " * n + "1" + "}" * n + "\n"
+    return "mode: ds\nN:\n" + "- " * n + "1\n"
+
+
+NESTINGS = ["flow-list", "flow-map", "block-list"]
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_deeply_nested_config_exits_two_not_a_crash(tmp_path, kind):
+    # A subprocess: libyaml's parser recursed once per level and crashed.
+    cfg = _write(tmp_path, "deep.yaml", _nested(kind, 10**5))
+    out = _console("simulate", "--config", cfg, "--output", str(tmp_path / "out.csv"))
+    assert out.returncode == 2
+    line = 2 if kind.startswith("flow") else 3
+    assert out.stderr == f"error: malformed config (line {line}): collections nested deeper than 100\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_deeply_nested_config_exits_two_with_pure_python_yaml(tmp_path, capsys, monkeypatch, kind):
+    # PyYAML's own parser raised RecursionError at this depth.
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    text = _nested(kind, 3000)
+    with pytest.raises(ParseError, match="nested deeper than 100$"):
+        parse_config(text)
+    assert run_cli(["simulate", "--config", _write(tmp_path, "deep.yaml", text)]) == 2
+    assert _single_error_line(capsys).endswith("collections nested deeper than 100")
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_up_to_the_limit_is_parsed(loaded, kind):
+    # The top mapping is one level, so N may nest MAX_DEPTH - 1 deep.
+    text = _nested(kind, cli.MAX_DEPTH - 1)
+    with pytest.raises(ValidationError, match="N must be a positive integer"):
+        parse_config(text)
+    assert loaded == [text, text]  # the depth check, then the load
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_config(_nested(kind, cli.MAX_DEPTH))
+
+
+def test_wide_shallow_config_is_parsed(loaded):
+    # Hundreds of marks, so the depth check parses the text; it nests 3 deep.
+    offsets = "".join(f"    - {-3.0 + k / 100}\n" for k in range(600))
+    text = (
+        "mode: mfl-grid\nn_cells: 8\nT: 0.1\nkernel:\n  type: tabulated\n  offsets:\n"
+        f"{offsets}  values: [{', '.join(['0.5'] * 600)}]\n"
+    )
+    cfg = parse_config(text)
+    assert len(cfg.kernel.offsets) == 600
+    assert loaded == [text, text]
+
+
+def _depth(doc) -> int:
+    if isinstance(doc, list):
+        return 1 + max(map(_depth, doc), default=0)
+    if isinstance(doc, dict):
+        return 1 + max(map(_depth, doc.values()), default=0)
+    return 0
+
+
+_DOCS = st.recursive(
+    st.none() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=_DOCS, flow=st.sampled_from([None, True, False]), limit=st.integers(0, 6))
+def test_depth_check_refuses_exactly_the_documents_past_the_limit(doc, flow, limit):
+    # The marks bound the depth, so a text with few marks is not parsed for it.
+    text = yaml.safe_dump(doc, default_flow_style=flow)
+    assert len(cli.COLLECTION_MARK.findall(text)) >= _depth(doc)
+    loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+    for loader in loaders:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("kuralim.cli.MAX_DEPTH", limit)
+            if _depth(doc) > limit:
+                with pytest.raises(yaml.YAMLError, match=f"nested deeper than {limit}"):
+                    cli._check_depth(text, loader)
+            else:
+                cli._check_depth(text, loader)
 
 
 def test_density_csv_without_rows_exits_two(tmp_path, capsys):
