@@ -8,11 +8,19 @@ deliberately perturbed configuration (a scaled right-hand side, a wrong
 harmonic, an off-family start, ...) that must drive the report to
 ``passed = False``; these negative controls keep the residuals honest.
 
+Each suite is registered once, with its negative control, by
+``_suite``: the decorator fills :data:`SUITES` and
+:data:`NEGATIVE_CONTROLS`, records the call's arguments as the report
+params and times the call, so a suite body only returns its worst
+residual and its extras.
+
 Reports are deterministic: fixed grids, fixed summation order, no
 randomness.  Only the measured runtime varies between runs.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import time
 from dataclasses import dataclass, field
 
@@ -74,18 +82,56 @@ class VerificationReport:
         }
 
 
-def _report(test, params, max_residual, tolerance, started, extras=None):
-    return VerificationReport(
-        test=test,
-        params=params,
-        max_residual=float(max_residual),
-        tolerance=float(tolerance),
-        passed=bool(max_residual <= tolerance),
-        runtime_s=time.perf_counter() - started,
-        extras=extras or {},
-    )
+# Suite registry: acceptance-grade default runs and the perturbed
+# configurations that must fail, in registration order.
+SUITES = {}
+NEGATIVE_CONTROLS = {}
 
 
+def _param(value):
+    """JSON form of one suite argument."""
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _suite(name, test, negative_control):
+    """Register a suite body under ``name`` with its negative control.
+
+    The body returns ``(worst, extras)``.  The registered function binds
+    the call's arguments, defaults included, records every one except
+    ``tolerance`` as the report params, and times the whole call.
+    """
+
+    def register(body):
+        signature = inspect.signature(body)
+
+        @functools.wraps(body)
+        def run(*args, **kwargs):
+            started = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            params = {k: _param(v) for k, v in bound.arguments.items()}
+            tolerance = params.pop("tolerance")
+            worst, extras = body(*args, **kwargs)
+            return VerificationReport(
+                test=test,
+                params=params,
+                max_residual=float(worst),
+                tolerance=float(tolerance),
+                passed=bool(worst <= tolerance),
+                runtime_s=time.perf_counter() - started,
+                extras=extras,
+            )
+
+        SUITES[name] = run
+        NEGATIVE_CONTROLS[name] = negative_control
+        return run
+
+    return register
+
+
+@_suite("interaction", "mean-interaction", {"rhs_scale": 1.01})
 def verify_mean_interaction(
     alphas=ALPHA_GRID,
     betas=BETA_GRID,
@@ -102,7 +148,8 @@ def verify_mean_interaction(
     ``theta = x(xi)``.  ``rhs_scale`` scales the closed-form side;
     values other than 1.0 are the sensitivity control.
     """
-    started = time.perf_counter()
+    if len(alphas) == 0 or len(betas) == 0:
+        raise DomainError("need at least one alpha and one beta")
     mids = LabelGrid(n_labels).midpoints
     xis = np.linspace(0.0, 1.0, n_eval)
     worst = 0.0
@@ -114,22 +161,11 @@ def verify_mean_interaction(
             theta = oa_quantile(p, xis)
             quadrature = (moment * np.exp(-1j * theta)).imag
             closed = -rhs_scale * p.beta * np.sin(p.alpha + theta)
-            worst = max(worst, float(np.max(np.abs(quadrature - closed))))
-    return _report(
-        "mean-interaction",
-        {
-            "alphas": list(alphas),
-            "betas": list(betas),
-            "n_labels": n_labels,
-            "n_eval": n_eval,
-            "rhs_scale": rhs_scale,
-        },
-        worst,
-        tolerance,
-        started,
-    )
+            worst = np.maximum(worst, np.max(np.abs(quadrature - closed)))
+    return worst, {}
 
 
+@_suite("invariance", "manifold-invariance", {"flow_scale": 1.1})
 def verify_manifold_invariance(
     alpha: float = 0.3,
     beta0: float = 0.1,
@@ -148,33 +184,17 @@ def verify_manifold_invariance(
     flowed parameters.  ``flow_scale`` rescales the flow time of the
     reference; values other than 1.0 are the sensitivity control.
     """
-    started = time.perf_counter()
     grid = LabelGrid(n_labels)
     p0 = OAPoint(alpha, beta0)
     traj = cl_simulate(manifold_field(grid, p0, q), KuramotoSin(), dt, t_end, output_every)
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
         reference = manifold_field(grid, oa_flow(p0, flow_scale * float(t)), q)
-        gap = float(np.max(circle_distance(state, reference.values)))
-        worst = max(worst, gap)
-    return _report(
-        "manifold-invariance",
-        {
-            "alpha": alpha,
-            "beta0": beta0,
-            "q": q,
-            "t_end": t_end,
-            "n_labels": n_labels,
-            "dt": dt,
-            "output_every": output_every,
-            "flow_scale": flow_scale,
-        },
-        worst,
-        tolerance,
-        started,
-    )
+        worst = np.maximum(worst, np.max(circle_distance(state, reference.values)))
+    return worst, {}
 
 
+@_suite("spectrum", "spectrum", {"harmonic": 2})
 def verify_spectrum(
     n_cells: int = 64, harmonic: int = 1, tolerance: float = 1e-8
 ) -> VerificationReport:
@@ -186,7 +206,6 @@ def verify_spectrum(
     harmonic (the sensitivity control) fails even though its eigenvalues
     coincide.
     """
-    started = time.perf_counter()
     operator = linearized_operator(n_cells, harmonic)
     values, vectors = np.linalg.eigh(operator)
     eig_residual = max(
@@ -203,20 +222,14 @@ def verify_spectrum(
     subspace_defect = float(np.linalg.norm(residue, ord=2))
 
     worst = max(eig_residual, subspace_defect)
-    return _report(
-        "spectrum",
-        {"n_cells": n_cells, "harmonic": harmonic},
-        worst,
-        tolerance,
-        started,
-        extras={
-            "leading_pair": [float(values[-2]), float(values[-1])],
-            "eigenvalue_residual": eig_residual,
-            "subspace_defect": subspace_defect,
-        },
-    )
+    return worst, {
+        "leading_pair": [float(values[-2]), float(values[-1])],
+        "eigenvalue_residual": eig_residual,
+        "subspace_defect": subspace_defect,
+    }
 
 
+@_suite("closure", "oa-closure", {"off_manifold": 0.05})
 def verify_oa_closure(
     a0: complex = 0.1 * np.exp(0.2j),
     t_end: float = 4.0,
@@ -234,7 +247,6 @@ def verify_oa_closure(
     closed-form flow of ``|a0|``.  ``off_manifold`` replaces ``c_2`` to
     start off the family; nonzero values are the sensitivity control.
     """
-    started = time.perf_counter()
     if abs(a0) > 0.3:
         raise DomainError("closure check expects |a0| <= 0.3")
     modes0 = np.asarray(a0, dtype=complex) ** np.arange(1, n_modes + 1)
@@ -249,31 +261,17 @@ def verify_oa_closure(
         c1 = modes[0]
         if abs(c1) > 0.9:
             break
-        closure_defect = max(
-            closure_defect, float(np.max(np.abs(modes[:max_check] - c1**powers)))
+        closure_defect = np.maximum(
+            closure_defect, np.max(np.abs(modes[:max_check] - c1**powers))
         )
         beta_t = oa_flow(OAPoint(0.0, abs(a0)), float(t)).beta
-        flow_deviation = max(flow_deviation, abs(abs(c1) - beta_t))
+        flow_deviation = np.maximum(flow_deviation, abs(abs(c1) - beta_t))
 
-    worst = max(closure_defect, flow_deviation)
-    return _report(
-        "oa-closure",
-        {
-            "a0": [a0.real, a0.imag],
-            "t_end": t_end,
-            "n_modes": n_modes,
-            "dt": dt,
-            "output_every": output_every,
-            "max_check": max_check,
-            "off_manifold": off_manifold,
-        },
-        worst,
-        tolerance,
-        started,
-        extras={"closure_defect": closure_defect, "flow_deviation": flow_deviation},
-    )
+    worst = np.maximum(closure_defect, flow_deviation)
+    return worst, {"closure_defect": closure_defect, "flow_deviation": flow_deviation}
 
 
+@_suite("bridge", "bridge", {"drift_scale": 0.0})
 def verify_bridge(
     alpha: float = 0.4,
     beta0: float = 0.2,
@@ -293,7 +291,6 @@ def verify_bridge(
     ``drift_scale`` rescales the anchor drift inside the transform;
     values other than 1.0 are the sensitivity control.
     """
-    started = time.perf_counter()
     kernel = KuramotoSin()
     p0 = OAPoint(alpha, beta0)
     initial = oa_cell_averages(p0, ThetaGrid(n_cells))
@@ -310,25 +307,12 @@ def verify_bridge(
         raise DomainError("recording mismatch between density and label runs")
     worst = 0.0
     for k in range(len(label_traj.times)):
-        gap = float(np.max(circle_distance(transformed.fields[k], label_traj.states[k])))
-        worst = max(worst, gap)
-    return _report(
-        "bridge",
-        {
-            "alpha": alpha,
-            "beta0": beta0,
-            "t_end": t_end,
-            "n_cells": n_cells,
-            "n_labels": n_labels,
-            "dt": dt,
-            "drift_scale": drift_scale,
-        },
-        worst,
-        tolerance,
-        started,
-    )
+        gap = np.max(circle_distance(transformed.fields[k], label_traj.states[k]))
+        worst = np.maximum(worst, gap)
+    return worst, {}
 
 
+@_suite("sync-limit", "sync-limit", {"beta_probes": (0.9,)})
 def verify_sync_limit(
     alpha: float = 1.0,
     q_pair=(0.0, 2.0),
@@ -346,7 +330,6 @@ def verify_sync_limit(
     q-dependence failures add unit penalties to the residual.  A single
     low probe (e.g. ``(0.9,)``) is the sensitivity control.
     """
-    started = time.perf_counter()
     if not beta_probes:
         raise DomainError("need at least one beta probe")
     probes = tuple(sorted(float(b) for b in beta_probes))
@@ -363,6 +346,8 @@ def verify_sync_limit(
         branch_w = oa_cdf(p, wrap_angle(np.pi - p.alpha))
         branch_xi = wrap_label(branch_w - oa_shift(p) - q0 / TWO_PI)
         keep = label_distance(grid.midpoints, branch_xi) >= exclusion
+        if not keep.any():
+            raise DomainError("the exclusion window keeps no label")
         sups.append(float(np.max(circle_distance(config.values[keep], target))))
 
     headline_beta = 0.999 if 0.999 in probes else probes[-1]
@@ -385,48 +370,14 @@ def verify_sync_limit(
         if len(limits) > 1
         else 0.0
     )
-    if q_deviation > 1e-10:
+    if not q_deviation <= 1e-10:  # a NaN deviation fails too
         residual += 1.0
 
-    return _report(
-        "sync-limit",
-        {
-            "alpha": alpha,
-            "q_pair": [float(q) for q in q_pair],
-            "beta_probes": list(probes),
-            "n_labels": n_labels,
-            "exclusion": exclusion,
-        },
-        residual,
-        tolerance,
-        started,
-        extras={
-            "sups": {f"{b:g}": s for b, s in zip(probes, sups)},
-            "q_deviation": q_deviation,
-            "limits": limits,
-        },
-    )
-
-
-# Suite registry: acceptance-grade default runs and the perturbed
-# configurations that must fail.
-SUITES = {
-    "interaction": verify_mean_interaction,
-    "invariance": verify_manifold_invariance,
-    "spectrum": verify_spectrum,
-    "closure": verify_oa_closure,
-    "bridge": verify_bridge,
-    "sync-limit": verify_sync_limit,
-}
-
-NEGATIVE_CONTROLS = {
-    "interaction": {"rhs_scale": 1.01},
-    "invariance": {"flow_scale": 1.1},
-    "spectrum": {"harmonic": 2},
-    "closure": {"off_manifold": 0.05},
-    "bridge": {"drift_scale": 0.0},
-    "sync-limit": {"beta_probes": (0.9,)},
-}
+    return residual, {
+        "sups": {f"{b:g}": s for b, s in zip(probes, sups)},
+        "q_deviation": q_deviation,
+        "limits": limits,
+    }
 
 
 def run_suite(name: str, negative_control: bool = False) -> VerificationReport:

@@ -3,9 +3,14 @@
 Full-tolerance suite runs live in the acceptance tests; here the suites
 run at reduced sizes to exercise reporting and the failure directions.
 """
+import inspect
+import json
+import types
+
 import numpy as np
 import pytest
 
+import kuralim.verify
 from kuralim import (
     NEGATIVE_CONTROLS,
     SUITES,
@@ -18,6 +23,17 @@ from kuralim import (
     verify_spectrum,
     verify_sync_limit,
 )
+from kuralim.cli import run_cli
+
+# Cheap arguments for every registered suite.
+SMALL = {
+    "interaction": dict(alphas=(0.5,), betas=(0.3,), n_labels=64, n_eval=9),
+    "invariance": dict(t_end=0.2, n_labels=64),
+    "spectrum": dict(n_cells=16),
+    "closure": dict(t_end=0.2, n_modes=8),
+    "bridge": dict(t_end=0.05, n_cells=64, n_labels=64),
+    "sync-limit": dict(n_labels=64),
+}
 
 
 def test_report_invariant_enforced():
@@ -103,3 +119,175 @@ def test_run_suite_dispatch():
     assert not bad.passed
     with pytest.raises(DomainError):
         run_suite("no-such-suite")
+
+
+@pytest.mark.parametrize("betas, rhs_scale", [((0.3,), float("nan")), ((0.0,), float("inf"))])
+def test_interaction_nan_residual_fails(betas, rhs_scale):
+    # inf * beta 0 is NaN too
+    r = verify_mean_interaction(alphas=(0.5,), betas=betas, n_labels=64, n_eval=9, rhs_scale=rhs_scale)
+    assert np.isnan(r.max_residual)
+    assert r.passed is False
+
+
+def test_sync_limit_nan_q_deviation_fails():
+    r = verify_sync_limit(n_labels=64, q_pair=(0.0, float("nan")))
+    assert np.isnan(r.extras["q_deviation"])
+    assert r.passed is False
+
+
+def _nan_on_last_call(fn, n_calls, nan_result):
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = fn(*args, **kwargs)
+        return nan_result(result) if len(calls) == n_calls else result
+
+    return patched
+
+
+def _nan_modes(traj):
+    states = np.array(traj.states)
+    states[-1, 1] = np.nan
+    return types.SimpleNamespace(times=traj.times, states=states)
+
+
+# case -> (verify-module attribute, calls it gets at SMALL size, its NaN result)
+LATE_NAN = {
+    "invariance": ("circle_distance", 3, lambda r: np.full_like(r, np.nan)),
+    "bridge": ("circle_distance", 6, lambda r: np.full_like(r, np.nan)),
+    "closure-defect": ("mfl_simulate_spectral", 1, _nan_modes),
+    "closure-flow": ("oa_flow", 3, lambda p: types.SimpleNamespace(beta=np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_NAN))
+def test_running_maximum_keeps_a_late_nan(case, monkeypatch):
+    # the NaN arrives after finite residuals, in the run's last record
+    attribute, n_calls, nan_result = LATE_NAN[case]
+    original = getattr(kuralim.verify, attribute)
+    monkeypatch.setattr(
+        kuralim.verify, attribute, _nan_on_last_call(original, n_calls, nan_result)
+    )
+    name = case.split("-")[0]
+    r = SUITES[name](**SMALL[name])
+    assert np.isnan(r.max_residual)
+    assert r.passed is False
+
+
+@pytest.mark.parametrize("alphas, betas", [((), ()), ((0.5,), ()), ((), (0.3,))])
+def test_interaction_refuses_empty_grids(alphas, betas):
+    with pytest.raises(DomainError):
+        verify_mean_interaction(alphas=alphas, betas=betas, n_labels=64, n_eval=9)
+
+
+@pytest.mark.parametrize("exclusion", [float("nan"), 0.6])
+def test_sync_limit_refuses_an_exclusion_keeping_no_label(exclusion):
+    with pytest.raises(DomainError):
+        verify_sync_limit(n_labels=64, exclusion=exclusion)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_report_params_are_the_suite_arguments(name):
+    report = SUITES[name](**SMALL[name])
+    expected = [p for p in inspect.signature(SUITES[name]).parameters if p != "tolerance"]
+    assert list(report.params) == expected
+    for key, value in SMALL[name].items():
+        assert report.params[key] == (list(value) if isinstance(value, tuple) else value)
+
+
+def test_library_call_records_arguments_as_passed():
+    r = verify_sync_limit(n_labels=64, q_pair=(0, 2), beta_probes=(0.999, 0.99))
+    assert r.params["q_pair"] == [0, 2]
+    assert r.params["beta_probes"] == [0.999, 0.99]
+
+
+VERIFY_ALL = [
+    {
+        "test": "mean-interaction",
+        "params": {
+            "alphas": [-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+            "betas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95],
+            "n_labels": 1024,
+            "n_eval": 257,
+            "rhs_scale": 1.0,
+        },
+        "tolerance": 1e-08,
+        "pass": True,
+    },
+    {
+        "test": "manifold-invariance",
+        "params": {
+            "alpha": 0.3,
+            "beta0": 0.1,
+            "q": 0.0,
+            "t_end": 4.0,
+            "n_labels": 1024,
+            "dt": 0.001,
+            "output_every": 0.1,
+            "flow_scale": 1.0,
+        },
+        "tolerance": 1e-05,
+        "pass": True,
+    },
+    {
+        "test": "spectrum",
+        "params": {"n_cells": 64, "harmonic": 1},
+        "tolerance": 1e-08,
+        "pass": True,
+    },
+    {
+        "test": "oa-closure",
+        "params": {
+            "a0": [0.09800665778412417, 0.019866933079506124],
+            "t_end": 4.0,
+            "n_modes": 64,
+            "dt": 0.001,
+            "output_every": 0.1,
+            "max_check": 8,
+            "off_manifold": 0.0,
+        },
+        "tolerance": 1e-06,
+        "pass": True,
+    },
+    {
+        "test": "bridge",
+        "params": {
+            "alpha": 0.4,
+            "beta0": 0.2,
+            "t_end": 2.0,
+            "n_cells": 512,
+            "n_labels": 512,
+            "dt": 0.01,
+            "drift_scale": 1.0,
+        },
+        "tolerance": 0.005,
+        "pass": True,
+    },
+    {
+        "test": "sync-limit",
+        "params": {
+            "alpha": 1.0,
+            "q_pair": [0.0, 2.0],
+            "beta_probes": [0.99, 0.999, 0.9999],
+            "n_labels": 1024,
+            "exclusion": 0.05,
+        },
+        "tolerance": 0.1,
+        "pass": True,
+    },
+]
+
+
+def test_verify_all_writes_the_registered_reports(tmp_path, capsys):
+    # perfbench reads t_end, dt and the size keys from these params
+    out = tmp_path / "verify.json"
+    assert run_cli(["verify", "all", "--output", str(out)]) == 0
+    capsys.readouterr()
+    reports = json.loads(out.read_text())
+    for report in reports:
+        assert report.pop("runtime_s") >= 0.0
+        assert report.pop("max_residual") <= report["tolerance"]
+    assert reports == VERIFY_ALL
+    assert [list(r) for r in reports] == [["test", "params", "tolerance", "pass"]] * 6
+    assert [list(r["params"]) for r in reports] == [list(r["params"]) for r in VERIFY_ALL]
