@@ -1,10 +1,10 @@
 """Fixed-step classical Runge-Kutta integration shared by every solver.
 
-One code path serves particle systems, label fields, and spectral mode
-vectors; the finite-N and continuum-limit solvers owe their bitwise
-agreement to this sharing.  Circle-valued states integrate on the real
-lift within a step and are wrapped only at step boundaries, so the RK4
-stages never see a branch-cut discontinuity.
+One code path serves particle systems, label fields, spectral mode
+vectors and grid densities; the finite-N and continuum-limit solvers owe
+their bitwise agreement to this sharing.  Circle-valued states integrate
+on the real lift and their ``step`` wraps them only at step boundaries,
+so the RK4 stages never see a branch-cut discontinuity.
 """
 from __future__ import annotations
 
@@ -76,21 +76,18 @@ def integrate_fixed(
     t_end: float,
     *,
     record_every: int = 1,
-    wrap=None,
-    post_step=None,
     step=None,
 ) -> Trajectory:
     """Integrate ``y' = rhs(y)`` from 0 to ``t_end`` with fixed step ``dt``.
 
-    ``step(rhs, y, h, t)`` advances ``y`` by ``h`` to time ``t``; the
-    default is :func:`rk4_step`, and the grid solver passes its upwind
-    finite-volume step.  Records every ``record_every``-th step; the first
-    and last states are always included.  ``wrap`` (if given) maps the
-    state to its canonical representative after each full step.
-    ``post_step(y, step, t)`` may raise to abort (used for spectral tail
-    monitoring).  Raises :class:`DomainError` when ``dt`` exceeds a
-    positive ``t_end``, and :class:`NonFinite` naming the first bad step
-    if the state leaves the finite range.
+    ``step(rhs, y, h, t)`` advances ``y`` by ``h`` to time ``t`` and may
+    raise to abort; the default is :func:`rk4_step`.  ds and cl wrap the
+    RK4 result to the circle, the spectral solver checks its last mode and
+    the grid solver takes an upwind finite-volume step.  Records every
+    ``record_every``-th step; the first and last states are always
+    included.  Raises :class:`DomainError` when ``dt`` exceeds a positive
+    ``t_end``, and :class:`NonFinite` naming the first bad step if the
+    state leaves the finite range.
     """
     if record_every < 1:
         raise DomainError("record_every must be a positive integer")
@@ -111,12 +108,8 @@ def integrate_fixed(
             h = dt if k <= n_full else remainder
             t = k * dt if k <= n_full else t_end
             y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
-            if wrap is not None:
-                y = wrap(y)
             if not np.all(np.isfinite(y)):
                 raise NonFinite(f"non-finite state at step {k} (t = {t:.6g})")
-            if post_step is not None:
-                post_step(y, k, t)
             if k % record_every == 0 or k == n_total:
                 times.append(t)
                 states.append(y.copy())

@@ -560,8 +560,15 @@ def _cmd_version(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as :class:`ParseError`, not argparse's usage and exit."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kuralim",
         description="Limiting descriptions of interacting phase oscillators.",
     )
@@ -612,13 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (KuralimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -50,7 +50,7 @@ class DriftQuadrature(KuralimError):
 
 
 class ParseError(KuralimError, ValueError):
-    """A run-configuration document could not be parsed."""
+    """A run-configuration document or a command line could not be parsed."""
 
 
 class ValidationError(KuralimError, ValueError):

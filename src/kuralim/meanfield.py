@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _rk4
 from ._rk4 import Trajectory, integrate_fixed, record_stride
 from .circle import CircularDensity, ThetaGrid
 from .errors import CflViolation, DomainError, TailBlowup
@@ -120,12 +121,15 @@ def mfl_simulate_spectral(
     ``TAIL_LIMIT``, which signals that the truncation is no longer
     meaningful.
     """
-    def check_tail(c, step, t):
-        if abs(c[-1]) > TAIL_LIMIT:
+    def checked_step(rhs, y, h, t):
+        c = _rk4.rk4_step(rhs, y, h)
+        # a non-finite state is left to integrate_fixed's NonFinite
+        if abs(c[-1]) > TAIL_LIMIT and np.all(np.isfinite(c)):
             raise TailBlowup(
                 f"last mode reached |c_N| = {abs(c[-1]):.3g} at t = {t:.6g}; "
                 "increase n_modes or shorten the run"
             )
+        return c
 
     return integrate_fixed(
         spectral_rhs,
@@ -133,7 +137,7 @@ def mfl_simulate_spectral(
         dt,
         t_end,
         record_every=record_stride(dt, output_every),
-        post_step=check_tail,
+        step=checked_step,
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _rk4
 from ._reduce import exact_mean_complex, exact_row_sums
 from ._rk4 import Trajectory, integrate_fixed, record_stride
 from .circle import TWO_PI, wrap_angle
@@ -52,6 +53,19 @@ CACHE_VALUES = 1 << 22
 def _check_finite(name: str, values) -> None:
     if not np.all(np.isfinite(values)):
         raise DomainError(f"{name} must be finite")
+
+
+def _sine_mean(positions: np.ndarray, m: int) -> np.ndarray:
+    """``(1/N) sum_j sin(m (x_j - x_i)) = Im(R conj(z_i))`` with ``R`` the exact
+    mean of ``z_j = exp(i m x_j)``; one pass, permutation-invariant."""
+    z = np.exp(1j * m * positions)
+    r = exact_mean_complex(z)
+    # R * conj(z) stays complex and is written over z.  numpy's complex
+    # multiply may fuse a multiply and an add, so the real form
+    # r.imag * z.real - r.real * z.imag differs in last bits; and it
+    # multiplies a one-element array in place (conj(z, out=z) first)
+    # without that fused step, so conj(z) gets its own array.
+    return np.multiply(r, np.conj(z), out=z).imag
 
 
 class InteractionKernel:
@@ -121,16 +135,7 @@ class KuramotoSin(InteractionKernel):
         return self.coupling * np.sin(np.asarray(y, dtype=float) - x)
 
     def mean_interaction(self, positions: np.ndarray) -> np.ndarray:
-        # (1/N) sum_j sin(x_j - x_i) = Im(R * conj(z_i)) with R the exact
-        # mean of z_j = exp(i x_j); one pass, permutation-invariant.
-        z = np.exp(1j * positions)
-        r = exact_mean_complex(z)
-        # R * conj(z) stays complex and is written over z.  numpy's complex
-        # multiply may fuse a multiply and an add, so the real form
-        # r.imag * z.real - r.real * z.imag differs in last bits; and it
-        # multiplies a one-element array in place (conj(z, out=z) first)
-        # without that fused step, so conj(z) gets its own array.
-        return self.coupling * np.multiply(r, np.conj(z), out=z).imag
+        return self.coupling * _sine_mean(positions, 1)
 
     def circle_velocity(self, theta, nodes, masses):
         z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
@@ -166,11 +171,8 @@ class OddTrig(InteractionKernel):
     def mean_interaction(self, positions: np.ndarray) -> np.ndarray:
         out = np.zeros_like(positions)
         for m, km in enumerate(self.coefficients, start=1):
-            if km == 0.0:
-                continue
-            z = np.exp(1j * m * positions)
-            r = exact_mean_complex(z)
-            out += km * np.multiply(r, np.conj(z), out=z).imag  # as in KuramotoSin
+            if km != 0.0:
+                out += km * _sine_mean(positions, m)
         return out
 
 
@@ -221,15 +223,16 @@ def _simulate_positions(
     t_end: float,
     output_every: float | None,
 ) -> Trajectory:
-    # Single integration path shared by the finite system and the
-    # continuum-limit solver: identical inputs give identical bytes.
+    # One integration path for the finite system and the continuum-limit
+    # solver, so identical inputs give identical bytes: RK4 on the real
+    # lift, then the canonical representatives.
     return integrate_fixed(
         kernel.mean_interaction,
         y0,
         dt,
         t_end,
         record_every=record_stride(dt, output_every),
-        wrap=wrap_angle,
+        step=lambda rhs, y, h, t: wrap_angle(_rk4.rk4_step(rhs, y, h)),
     )
 
 

@@ -148,8 +148,8 @@ def verify_mean_interaction(
     ``theta = x(xi)``.  ``rhs_scale`` scales the closed-form side;
     values other than 1.0 are the sensitivity control.
     """
-    if len(alphas) == 0 or len(betas) == 0:
-        raise DomainError("need at least one alpha and one beta")
+    if len(alphas) == 0 or len(betas) == 0 or n_eval < 1:
+        raise DomainError("need at least one alpha, one beta and one evaluation point")
     mids = LabelGrid(n_labels).midpoints
     xis = np.linspace(0.0, 1.0, n_eval)
     worst = 0.0
@@ -249,6 +249,8 @@ def verify_oa_closure(
     """
     if abs(a0) > 0.3:
         raise DomainError("closure check expects |a0| <= 0.3")
+    if not 1 <= max_check <= n_modes:
+        raise DomainError(f"max_check must be in [1, n_modes = {n_modes}], got {max_check}")
     modes0 = np.asarray(a0, dtype=complex) ** np.arange(1, n_modes + 1)
     if off_manifold:
         modes0[1] = off_manifold
@@ -332,6 +334,8 @@ def verify_sync_limit(
     """
     if not beta_probes:
         raise DomainError("need at least one beta probe")
+    if len(q_pair) < 2:
+        raise DomainError("need at least two q values to compare the limits")
     probes = tuple(sorted(float(b) for b in beta_probes))
     grid = LabelGrid(n_labels)
     q0 = float(q_pair[0])
@@ -365,11 +369,7 @@ def verify_sync_limit(
         xi_q = wrap_label(branch_w + 0.5 - oa_shift(p_head) - float(q) / TWO_PI)
         w = wrap_label(xi_q + oa_shift(p_head) + float(q) / TWO_PI)
         limits.append(wrap_angle(float(oa_quantile(p_head, w))))
-    q_deviation = (
-        float(np.max(circle_distance(np.array(limits[:-1]), np.array(limits[1:]))))
-        if len(limits) > 1
-        else 0.0
-    )
+    q_deviation = float(np.max(circle_distance(np.array(limits[:-1]), np.array(limits[1:]))))
     if not q_deviation <= 1e-10:  # a NaN deviation fails too
         residual += 1.0
 

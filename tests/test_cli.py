@@ -572,6 +572,30 @@ def test_unknown_arguments_exit_two(capsys):
     capsys.readouterr()
 
 
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "unknown-suite": ["verify", "bogus"],
+    "missing-config": ["simulate"],
+    "bad-int": ["transform", "--config", "{cfg}", "--n-labels", "abc"],
+    "missing-alpha": ["oa", "eval", "--beta", "0.5", "--output", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_one_error_line(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 4\nT: 0.0\n")
+    out = str(tmp_path / "out.csv")
+    assert run_cli([a.format(cfg=cfg, out=out) for a in argv]) == 2
+    _single_error_line(capsys)
+    assert not os.path.exists(out)
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: kuralim")
+
+
 def test_version_prints_package_version(capsys):
     assert run_cli(["version"]) == 0
     out = capsys.readouterr().out

@@ -187,6 +187,32 @@ def test_sync_limit_refuses_an_exclusion_keeping_no_label(exclusion):
         verify_sync_limit(n_labels=64, exclusion=exclusion)
 
 
+def test_interaction_refuses_no_evaluation_points():
+    with pytest.raises(DomainError, match="evaluation point"):
+        verify_mean_interaction(n_labels=64, n_eval=0)
+
+
+def test_closure_refuses_no_checked_modes():
+    with pytest.raises(DomainError, match="max_check"):
+        verify_oa_closure(t_end=0.2, n_modes=8, max_check=0)
+
+
+def test_closure_refuses_more_checked_modes_than_modes():
+    with pytest.raises(DomainError, match="max_check"):
+        verify_oa_closure(t_end=0.2, n_modes=8, max_check=20)
+
+
+def test_sync_limit_refuses_an_empty_q_pair():
+    with pytest.raises(DomainError, match="two q values"):
+        verify_sync_limit(n_labels=64, q_pair=())
+
+
+def test_sync_limit_refuses_a_single_q():
+    # one q leaves no limits to compare, so the q-independence check would be skipped
+    with pytest.raises(DomainError, match="two q values"):
+        verify_sync_limit(n_labels=64, q_pair=(0.0,))
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_report_params_are_the_suite_arguments(name):
     report = SUITES[name](**SMALL[name])
