@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circle import frozen, is_size
 from .errors import DomainError, NonFinite
 
 #: Most steps a schedule may hold; at about 40 us per RK4 step that is
@@ -27,10 +28,8 @@ class Trajectory:
     states: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "states", np.asarray(self.states))
-        self.times.flags.writeable = False
-        self.states.flags.writeable = False
+        frozen(self, "times", self.times)
+        frozen(self, "states", self.states, dtype=None)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -89,7 +88,7 @@ def integrate_fixed(
     ``t_end``, and :class:`NonFinite` naming the first bad step if the
     state leaves the finite range.
     """
-    if record_every < 1:
+    if not is_size(record_every, 1):
         raise DomainError("record_every must be a positive integer")
     if t_end > 0.0 and dt > t_end:
         raise DomainError(f"dt = {dt} exceeds final time {t_end}")
@@ -113,7 +112,7 @@ def integrate_fixed(
             if k % record_every == 0 or k == n_total:
                 times.append(t)
                 states.append(y.copy())
-    return Trajectory(np.array(times), np.array(states))
+    return Trajectory(times, states)
 
 
 def record_stride(dt: float, output_every: float | None) -> int:

@@ -82,6 +82,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def is_size(n, least: int) -> bool:
+    """Whether ``n`` is an integer of at least ``least``; numpy integers
+    count, floats and bools do not."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+
+
+def frozen(obj, name: str, value, dtype=float) -> np.ndarray:
+    """Store a private read-only copy of ``value`` as field ``name`` of the
+    frozen dataclass ``obj`` and return it.
+
+    ``np.array`` always copies, so the caller's array stays writeable and
+    a later write to it does not reach ``obj``; ``dtype=None`` keeps the
+    inferred type.  Every array a value type holds is stored this way.
+    """
+    a = _readonly(np.array(value, dtype=dtype))
+    object.__setattr__(obj, name, a)
+    return a
+
+
 @dataclass(frozen=True)
 class ThetaGrid:
     """Uniform periodic angle grid with ``n_cells`` nodes on ``[0, 2*pi)``."""
@@ -89,8 +108,8 @@ class ThetaGrid:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 2:
-            raise DomainError(f"ThetaGrid needs at least 2 cells, got {self.n_cells}")
+        if not is_size(self.n_cells, 2):
+            raise DomainError(f"ThetaGrid needs an integer >= 2 cells, got {self.n_cells!r}")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -108,8 +127,8 @@ class LabelGrid:
     n_labels: int
 
     def __post_init__(self):
-        if self.n_labels < 1:
-            raise DomainError(f"LabelGrid needs at least 1 label, got {self.n_labels}")
+        if not is_size(self.n_labels, 1):
+            raise DomainError(f"LabelGrid needs an integer >= 1 labels, got {self.n_labels!r}")
 
     @cached_property
     def midpoints(self) -> np.ndarray:
@@ -134,7 +153,7 @@ class CircularDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
+        vals = frozen(self, "values", self.values)
         if vals.shape != (self.grid.n_cells,):
             raise DomainError(
                 f"density shape {vals.shape} does not match grid ({self.grid.n_cells},)"
@@ -143,7 +162,6 @@ class CircularDensity:
             raise DomainError("density values must be finite")
         if np.any(vals < -1e-12):
             raise DomainError("density has negative values beyond tolerance")
-        object.__setattr__(self, "values", _readonly(vals))
         m = self.mass()
         if abs(m - 1.0) > MASS_TOL:
             raise NonNormalized(f"density mass {m!r} differs from 1 by more than {MASS_TOL}")
@@ -161,8 +179,8 @@ class EmpiricalMeasure:
     space: str = "circle"
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).copy()
-        w = np.asarray(self.weights, dtype=float).copy()
+        pos = np.asarray(self.positions, dtype=float)
+        w = frozen(self, "weights", self.weights)
         if pos.size == 0:
             raise EmptyMeasure("empirical measure needs at least one atom")
         if pos.shape != w.shape or pos.ndim != 1:
@@ -174,10 +192,7 @@ class EmpiricalMeasure:
         total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise NonNormalized(f"weights sum to {total!r}, not 1 within 1e-12")
-        if self.space == "circle":
-            pos = wrap_angle(pos)
-        object.__setattr__(self, "positions", _readonly(pos))
-        object.__setattr__(self, "weights", _readonly(w))
+        frozen(self, "positions", wrap_angle(pos) if self.space == "circle" else pos)
 
 
 @dataclass(frozen=True)
@@ -192,14 +207,13 @@ class CdfFn:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
+        vals = frozen(self, "values", self.values)
         if vals.shape != (self.grid.n_cells + 1,):
             raise DomainError("CDF needs n_cells + 1 values (nodes plus endpoint)")
         if abs(vals[0]) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
             raise DomainError("CDF must run from 0 at angle 0 to 1 at angle 2*pi")
         if np.any(np.diff(vals) < 0):
             raise DomainError("CDF values must be nondecreasing")
-        object.__setattr__(self, "values", _readonly(vals))
 
     @cached_property
     def nodes(self) -> np.ndarray:

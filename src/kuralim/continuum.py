@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk4 import Trajectory
-from .circle import TWO_PI, LabelGrid, wrap_angle, wrap_label
+from .circle import TWO_PI, LabelGrid, frozen, wrap_angle, wrap_label
 from .errors import DomainError
 from .oa import OAPoint, oa_quantile, oa_shift
 from .particles import InteractionKernel, _simulate_positions
@@ -36,9 +36,7 @@ class LabelField:
             raise DomainError(
                 f"values shape {vals.shape} does not match {self.grid.n_labels} labels"
             )
-        vals = wrap_angle(vals)  # a new array, never the caller's
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        frozen(self, "values", wrap_angle(vals))
 
 
 def cl_rhs(field: LabelField, kernel: InteractionKernel) -> np.ndarray:

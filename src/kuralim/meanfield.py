@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _rk4
 from ._rk4 import Trajectory, integrate_fixed, record_stride
-from .circle import CircularDensity, ThetaGrid
+from .circle import CircularDensity, ThetaGrid, _readonly, frozen, is_size
 from .errors import CflViolation, DomainError, TailBlowup
 from .oa import OAPoint
 from .particles import InteractionKernel
@@ -54,17 +54,15 @@ class FourierDensity:
     modes: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.modes, dtype=complex).copy()
+        m = frozen(self, "modes", self.modes, dtype=complex)
         if m.ndim != 1 or m.size == 0:
             raise DomainError("modes must be a nonempty 1-d complex array")
-        m.flags.writeable = False
-        object.__setattr__(self, "modes", m)
 
     @classmethod
     def from_oa(cls, point: OAPoint, n_modes: int) -> "FourierDensity":
         """Wrapped-Cauchy coefficients ``c_n = (beta exp(i alpha))^n``."""
-        if n_modes < 1:
-            raise DomainError("need at least one mode")
+        if not is_size(n_modes, 1):
+            raise DomainError(f"need an integer of at least one mode, got {n_modes!r}")
         a = point.beta * np.exp(1j * point.alpha)
         return cls(a ** np.arange(1, n_modes + 1))
 
@@ -91,9 +89,7 @@ def order_parameter(density) -> complex:
 @lru_cache(maxsize=16)
 def _half_orders(n_modes: int) -> np.ndarray:
     """``n / 2`` for ``n = 1 .. n_modes``, read-only: every caller shares it."""
-    half = 0.5 * np.arange(1, n_modes + 1)
-    half.flags.writeable = False
-    return half
+    return _readonly(0.5 * np.arange(1, n_modes + 1))
 
 
 def spectral_rhs(modes: np.ndarray) -> np.ndarray:
@@ -159,20 +155,12 @@ class DensityTrajectory:
     drift: np.ndarray | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = frozen(self, "times", self.times)
+        v = frozen(self, "values", self.values)
         if v.shape != (len(t), self.grid.n_cells):
             raise DomainError("values must have shape (n_times, n_cells)")
-        t.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if self.drift is not None:
-            d = np.asarray(self.drift, dtype=float)
-            if d.shape != t.shape:
-                raise DomainError("drift must have one value per recorded time")
-            d.flags.writeable = False
-            object.__setattr__(self, "drift", d)
+        if self.drift is not None and frozen(self, "drift", self.drift).shape != t.shape:
+            raise DomainError("drift must have one value per recorded time")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -255,10 +243,10 @@ def linearized_operator(n_cells: int, harmonic: int = 1) -> np.ndarray:
     rank-two projector ``(c c^T + s s^T) / n`` onto the harmonic's cosine
     and sine profiles, each with eigenvalue 1/2.
     """
-    if n_cells < 3:
-        raise DomainError("need at least three cells")
-    if harmonic < 1 or 2 * harmonic >= n_cells:
-        raise DomainError("harmonic must satisfy 1 <= harmonic < n_cells / 2")
+    if not is_size(n_cells, 3):
+        raise DomainError(f"need an integer of at least three cells, got {n_cells!r}")
+    if not is_size(harmonic, 1) or 2 * harmonic >= n_cells:
+        raise DomainError(f"harmonic must be an integer in [1, n_cells / 2), got {harmonic!r}")
     theta = ThetaGrid(n_cells).nodes
     return np.cos(harmonic * np.subtract.outer(theta, theta)) / n_cells
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import _rk4
 from ._reduce import exact_mean_complex, exact_row_sums
 from ._rk4 import Trajectory, integrate_fixed, record_stride
-from .circle import TWO_PI, wrap_angle
+from .circle import TWO_PI, frozen, is_size, wrap_angle
 from .errors import DomainError, KernelDomain
 
 
@@ -35,9 +35,7 @@ class ParticleState:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size == 0:
             raise DomainError("positions must be a nonempty 1-d array")
-        pos = wrap_angle(pos)  # a new array, never the caller's
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
+        frozen(self, "positions", wrap_angle(pos))
 
 
 # Values of phi evaluated at once by the generic mean interaction.
@@ -192,17 +190,13 @@ class TabulatedGradient(InteractionKernel):
     periodic: bool = False
 
     def __post_init__(self):
-        u = np.asarray(self.offsets, dtype=float).copy()
-        v = np.asarray(self.values, dtype=float).copy()
+        u = frozen(self, "offsets", self.offsets)
+        v = frozen(self, "values", self.values)
         if u.ndim != 1 or u.shape != v.shape or len(u) < 2:
             raise DomainError("offsets/values must be matching 1-d arrays, length >= 2")
         _check_finite("offsets/values", np.concatenate([u, v]))
         if np.any(np.diff(u) <= 0):
             raise DomainError("offsets must be strictly increasing")
-        u.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "offsets", u)
-        object.__setattr__(self, "values", v)
 
     def phi(self, x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -255,7 +249,7 @@ def ds_simulate(
 
 def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:
     """Finite counterpart of a twisted field: ``x_j = 2*pi*j*m/n + q``."""
-    if n < 1:
-        raise DomainError("need at least one particle")
+    if not is_size(n, 1):
+        raise DomainError(f"need an integer of at least one particle, got {n!r}")
     return ParticleState(wrap_angle(TWO_PI * np.arange(n) * m / n + q))
 

@@ -35,6 +35,7 @@ from .circle import (
     ThetaGrid,
     cdf_from_density,
     circle_distance,
+    is_size,
     label_distance,
     wrap_angle,
     wrap_label,
@@ -148,8 +149,8 @@ def verify_mean_interaction(
     ``theta = x(xi)``.  ``rhs_scale`` scales the closed-form side;
     values other than 1.0 are the sensitivity control.
     """
-    if len(alphas) == 0 or len(betas) == 0 or n_eval < 1:
-        raise DomainError("need at least one alpha, one beta and one evaluation point")
+    if len(alphas) == 0 or len(betas) == 0 or not is_size(n_eval, 1):
+        raise DomainError("need an alpha, a beta and an integer n_eval >= 1 evaluation points")
     mids = LabelGrid(n_labels).midpoints
     xis = np.linspace(0.0, 1.0, n_eval)
     worst = 0.0
@@ -249,8 +250,10 @@ def verify_oa_closure(
     """
     if abs(a0) > 0.3:
         raise DomainError("closure check expects |a0| <= 0.3")
-    if not 1 <= max_check <= n_modes:
-        raise DomainError(f"max_check must be in [1, n_modes = {n_modes}], got {max_check}")
+    if not (is_size(max_check, 1) and is_size(n_modes, max_check)):
+        raise DomainError(
+            f"max_check must be an integer in [1, n_modes = {n_modes!r}], got {max_check!r}"
+        )
     modes0 = np.asarray(a0, dtype=complex) ** np.arange(1, n_modes + 1)
     if off_manifold:
         modes0[1] = off_manifold

@@ -1,4 +1,6 @@
 """Circle geometry, grids, and CDF/quantile inversion."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,12 +10,17 @@ from kuralim import (
     CircularDensity,
     DomainError,
     EmpiricalMeasure,
+    DensityTrajectory,
     EmptyMeasure,
+    FourierDensity,
+    LabelField,
     LabelGrid,
     NonNormalized,
     NotStrictlyMonotone,
     OAPoint,
+    ParticleState,
     QuantileFn,
+    TabulatedGradient,
     ThetaGrid,
     cdf_from_density,
     circle_distance,
@@ -25,6 +32,7 @@ from kuralim import (
     wrap_label,
     wrap_pm_pi,
 )
+from kuralim._rk4 import Trajectory
 from kuralim.circle import FLAT_TOL
 
 TWO_PI = 2.0 * np.pi
@@ -106,6 +114,68 @@ def test_label_grid_midpoints():
     assert np.allclose(g.midpoints, [0.125, 0.375, 0.625, 0.875])
     with pytest.raises(DomainError):
         LabelGrid(0)
+
+
+@pytest.mark.parametrize("grid", [ThetaGrid, LabelGrid])
+@pytest.mark.parametrize(
+    "size", [4.5, 4.0, True, np.float64(4.0)], ids=["4.5", "float-4", "bool", "numpy-float-4"]
+)
+def test_grids_refuse_non_integer_sizes(grid, size):
+    with pytest.raises(DomainError, match="integer"):
+        grid(size)
+
+
+@pytest.mark.parametrize("size", [np.int32(4), np.int64(4), np.uint8(4)])
+def test_grids_accept_numpy_integer_sizes(size):
+    assert ThetaGrid(size).nodes.tobytes() == ThetaGrid(4).nodes.tobytes()
+    assert LabelGrid(size).midpoints.tobytes() == LabelGrid(4).midpoints.tobytes()
+
+
+def _caller_arrays(name):
+    """(value type, constructor arguments) built from fresh writeable arrays."""
+    g = ThetaGrid(4)
+    flat = np.full(4, 1.0 / TWO_PI)
+    return {
+        "Trajectory": (Trajectory, dict(times=np.array([0.0, 0.1]), states=np.ones((2, 3)))),
+        "DensityTrajectory": (
+            DensityTrajectory,
+            dict(times=np.array([0.0, 0.1]), values=np.tile(flat, (2, 1)), grid=g,
+                 drift=np.array([0.0, 0.01])),
+        ),
+        "FourierDensity": (FourierDensity, dict(modes=np.array([0.1 + 0.2j, 0.01j]))),
+        "ParticleState": (ParticleState, dict(positions=np.array([0.5, 1.5, 2.5]))),
+        "TabulatedGradient": (
+            TabulatedGradient, dict(offsets=np.array([-1.0, 0.0, 1.0]), values=np.array([1.0, 0.0, -1.0]))
+        ),
+        "LabelField": (LabelField, dict(grid=LabelGrid(3), values=np.array([0.5, 1.5, 2.5]))),
+        "CircularDensity": (CircularDensity, dict(grid=g, values=flat)),
+        "EmpiricalMeasure": (
+            EmpiricalMeasure, dict(positions=np.array([0.5, 1.5]), weights=np.array([0.25, 0.75]))
+        ),
+        "CdfFn": (CdfFn, dict(grid=g, values=np.array([0.0, 0.25, 0.5, 0.75, 1.0]))),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "Trajectory", "DensityTrajectory", "FourierDensity", "ParticleState",
+        "TabulatedGradient", "LabelField", "CircularDensity", "EmpiricalMeasure", "CdfFn",
+    ],
+)
+def test_value_types_keep_private_readonly_copies(name):
+    cls, kwargs = _caller_arrays(name)
+    obj = cls(**kwargs)
+    given = {k: v for k, v in kwargs.items() if isinstance(v, np.ndarray)}
+    stored = {k: getattr(obj, k).copy() for k in given}
+    for key, array in given.items():
+        assert array.flags.writeable, f"{name} froze the caller's {key}"
+        array += 0.125
+        assert getattr(obj, key).tobytes() == stored[key].tobytes(), f"{name}.{key} follows the caller"
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, f"{name}.{field.name} is writeable"
 
 
 def test_circular_density_validation():

@@ -219,6 +219,26 @@ def test_linearized_operator_actions():
     assert abs(np.trace(mat) - 1.0) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "n_cells, harmonic", [(8.0, 1), (8.5, 1), (True, 1), (8, 1.5), (8, 1.0), (8, True)]
+)
+def test_linearized_operator_refuses_non_integer_sizes(n_cells, harmonic):
+    with pytest.raises(DomainError, match="integer"):
+        linearized_operator(n_cells, harmonic)
+
+
+@pytest.mark.parametrize("n_modes", [3.5, 3.0, True])
+def test_from_oa_refuses_a_non_integer_mode_count(n_modes):
+    with pytest.raises(DomainError, match="integer"):
+        FourierDensity.from_oa(OAPoint(0.0, 0.5), n_modes)
+
+
+def test_from_oa_and_operator_accept_numpy_integers():
+    p = OAPoint(0.3, 0.5)
+    assert FourierDensity.from_oa(p, np.int64(4)).modes.tobytes() == FourierDensity.from_oa(p, 4).modes.tobytes()
+    assert linearized_operator(np.int64(8), np.int32(2)).tobytes() == linearized_operator(8, 2).tobytes()
+
+
 def test_linearized_spectrum_half_pair():
     for n in (32, 64):
         ev = linearized_spectrum(linearized_operator(n))

@@ -290,6 +290,18 @@ def test_kernels_reject_non_finite_parameters(bad):
         TabulatedGradient(np.array([-7.0, 0.0, bad]), np.array([1.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("n", [4.5, 4.0, True])
+def test_discrete_twisted_state_refuses_a_non_integer_count(n):
+    with pytest.raises(DomainError, match="integer"):
+        discrete_twisted_state(n, 1)
+
+
+def test_discrete_twisted_state_accepts_a_numpy_integer_count():
+    assert discrete_twisted_state(np.int64(5), 2).positions.tobytes() == (
+        discrete_twisted_state(5, 2).positions.tobytes()
+    )
+
+
 def test_discrete_twisted_state_layout():
     s = discrete_twisted_state(4, 1)
     assert np.allclose(s.positions, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])

@@ -27,7 +27,7 @@ from kuralim import (
     spectral_rhs,
     wrap_angle,
 )
-from kuralim._rk4 import Trajectory, record_stride, rk4_step, step_schedule
+from kuralim._rk4 import Trajectory, integrate_fixed, record_stride, rk4_step, step_schedule
 from kuralim.meanfield import TAIL_LIMIT
 
 TWO_PI = 2.0 * np.pi
@@ -190,3 +190,9 @@ def test_spectral_errors_match_the_frozen_step_loop(modes, t_end, error):
     with pytest.raises(error) as run:
         mfl_simulate_spectral(initial, 1e-2, t_end)
     assert str(run.value) == str(frozen.value)
+
+
+@pytest.mark.parametrize("record_every", [1.5, 2.0, True, 0])
+def test_integrate_fixed_refuses_a_non_integer_stride(record_every):
+    with pytest.raises(DomainError, match="record_every"):
+        integrate_fixed(np.negative, np.ones(2), 0.1, 1.0, record_every=record_every)

@@ -197,6 +197,29 @@ def test_closure_refuses_no_checked_modes():
         verify_oa_closure(t_end=0.2, n_modes=8, max_check=0)
 
 
+@pytest.mark.parametrize("max_check", [1.5, 2.0, True])
+def test_closure_refuses_a_non_integer_max_check(max_check):
+    with pytest.raises(DomainError, match="max_check"):
+        verify_oa_closure(t_end=0.1, n_modes=8, max_check=max_check)
+
+
+def test_closure_refuses_a_non_integer_mode_count():
+    with pytest.raises(DomainError, match="max_check"):
+        verify_oa_closure(t_end=0.1, n_modes=8.5, max_check=4)
+
+
+@pytest.mark.parametrize("n_eval", [2.5, 3.0, True])
+def test_interaction_refuses_a_non_integer_n_eval(n_eval):
+    with pytest.raises(DomainError, match="evaluation point"):
+        verify_mean_interaction(alphas=(0.5,), betas=(0.3,), n_labels=64, n_eval=n_eval)
+
+
+@pytest.mark.parametrize("n_cells", [16.5, 16.0])
+def test_spectrum_refuses_a_non_integer_n_cells(n_cells):
+    with pytest.raises(DomainError, match="integer"):
+        verify_spectrum(n_cells=n_cells)
+
+
 def test_closure_refuses_more_checked_modes_than_modes():
     with pytest.raises(DomainError, match="max_check"):
         verify_oa_closure(t_end=0.2, n_modes=8, max_check=20)
