@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import LabelGrid, QuantileFn, cdf_from_density, wrap_angle, wrap_label
+from .circle import LabelGrid, QuantileFn, cdf_from_density, frozen, wrap_angle, wrap_label
 from .errors import DomainError, DriftQuadrature
 from .meanfield import DensityTrajectory
 from .particles import InteractionKernel
@@ -77,6 +77,10 @@ class BridgeResult:
     drift: np.ndarray
     label_grid: LabelGrid
 
+    def __post_init__(self):
+        for name in ("times", "fields", "drift"):
+            frozen(self, name, getattr(self, name))
+
 
 def mfl_to_cl_circle(
     traj: DensityTrajectory,
@@ -107,5 +111,5 @@ def mfl_to_cl_circle(
         quantile = QuantileFn(cdf_from_density(traj.density(k)))
         w = wrap_label(label_grid.midpoints + drift[k])
         fields[k] = wrap_angle(quantile(w))
-    return BridgeResult(traj.times.copy(), fields, drift, label_grid)
+    return BridgeResult(traj.times, fields, drift, label_grid)
 

@@ -18,6 +18,7 @@ angle zero: ``F(theta) = mass of [0, theta]``, so ``F(0) = 0`` and
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,6 +87,11 @@ def is_size(n, least: int) -> bool:
     """Whether ``n`` is an integer of at least ``least``; numpy integers
     count, floats and bools do not."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+
+
+def is_winding(m) -> bool:
+    """Whether ``m`` is an integer, as :func:`is_size` counts them, that converts to a float."""
+    return is_size(m, -sys.float_info.max) and m <= sys.float_info.max
 
 
 def frozen(obj, name: str, value, dtype=float) -> np.ndarray:

@@ -24,7 +24,7 @@ import yaml
 
 from . import __version__
 from ._rk4 import step_schedule
-from .circle import TWO_PI, CircularDensity, LabelGrid, ThetaGrid
+from .circle import TWO_PI, CircularDensity, LabelGrid, ThetaGrid, is_size, is_winding
 from .continuum import LabelField, cl_simulate, manifold_field, twisted_field
 from .errors import KuralimError, ParseError, ValidationError
 from .meanfield import (
@@ -129,8 +129,7 @@ def _finite_list(xs):
 
 
 def _winding(m):
-    # m is used as a float, so a winding past the float range is refused
-    return m if isinstance(m, int) and _finite(m) is not None else None
+    return m if is_winding(m) else None
 
 
 def _flag(x):
@@ -259,7 +258,7 @@ def parse_config(text: str) -> RunConfig:
     if wrong_sizes:
         problems.append(f"size keys {wrong_sizes} do not apply to mode {mode!r}")
     size = doc.get(size_key)
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+    if not is_size(size, 1):
         problems.append(f"{size_key} must be a positive integer")
     elif size > MAX_SIZE:
         problems.append(f"{size_key} must be at most {MAX_SIZE}")
@@ -287,7 +286,7 @@ def parse_config(text: str) -> RunConfig:
 
     seed = doc.get("seed")
     if mode == "ds" and initial["type"] == "uniform":
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not is_size(seed, 0):
             problems.append("uniform initial data requires a nonnegative integer seed")
     elif seed is not None:
         problems.append("seed only applies to ds runs with uniform initial data")
@@ -387,17 +386,15 @@ def _build_initial(config: RunConfig):
     return CircularDensity(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
 
 
-def _resolve_output(config: RunConfig, args, fallback: str) -> str:
-    return getattr(args, "output", None) or config.output or fallback
-
-
-def _write_meta(output: str, config: RunConfig) -> None:
-    if config.seed is None:
+def _write_json(path: str | None, value) -> None:
+    """``value`` as indented JSON with a final newline, to ``path``, or to
+    stdout when ``path`` is empty."""
+    text = json.dumps(value, indent=2) + "\n"
+    if not path:
+        sys.stdout.write(text)
         return
-    meta_path = os.path.splitext(output)[0] + ".meta.json"
-    with open(meta_path, "w", newline="") as fh:
-        json.dump({"seed": config.seed}, fh, indent=2)
-        fh.write("\n")
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def _read_config(path: str) -> RunConfig:
@@ -411,7 +408,7 @@ def _read_config(path: str) -> RunConfig:
 def _cmd_simulate(args) -> int:
     config = _read_config(args.config)
     initial = _build_initial(config)
-    output = _resolve_output(config, args, fallback="run.csv")
+    output = args.output or config.output or "run.csv"
 
     if config.mode in ("ds", "cl"):
         simulate = ds_simulate if config.mode == "ds" else cl_simulate
@@ -431,7 +428,8 @@ def _cmd_simulate(args) -> int:
         table = np.column_stack((traj.times, traj.states.view(float)))
 
     _write_csv(output, header, table)
-    _write_meta(output, config)
+    if config.seed is not None:
+        _write_json(os.path.splitext(output)[0] + ".meta.json", {"seed": config.seed})
     return 0
 
 
@@ -474,14 +472,8 @@ def _cmd_transform(args) -> int:
     prefixes = (t + xi for t in times for xi in labels)
     _write_csv(output, ["t", "xi", "x"], result.fields.reshape(-1, 1), prefixes)
 
-    drift_path = os.path.splitext(output)[0] + ".drift.json"
-    with open(drift_path, "w", newline="") as fh:
-        json.dump(
-            {"times": [float(t) for t in result.times], "drift": [float(s) for s in result.drift]},
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    drift = {"times": result.times.tolist(), "drift": result.drift.tolist()}
+    _write_json(os.path.splitext(output)[0] + ".drift.json", drift)
     return 0
 
 
@@ -546,12 +538,7 @@ def _cmd_verify(args) -> int:
         )
 
     payload = [r.to_json_dict() for r in reports]
-    text = json.dumps(payload[0] if args.suite != "all" else payload, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_json(args.output, payload[0] if args.suite != "all" else payload)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rk4 import Trajectory
-from .circle import TWO_PI, LabelGrid, frozen, wrap_angle, wrap_label
+from .circle import TWO_PI, LabelGrid, frozen, is_winding, wrap_angle, wrap_label
 from .errors import DomainError
 from .oa import OAPoint, oa_quantile, oa_shift
 from .particles import InteractionKernel, _simulate_positions
@@ -62,6 +62,8 @@ def cl_simulate(
 
 def twisted_field(grid: LabelGrid, m: int, q: float = 0.0) -> LabelField:
     """Stationary winding profile ``x(xi) = 2*pi*m*xi + q`` on the grid."""
+    if not is_winding(m):
+        raise DomainError(f"need an integer winding m in the float range, got {m!r}")
     return LabelField(grid, wrap_angle(TWO_PI * m * grid.midpoints + q))
 
 

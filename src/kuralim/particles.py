@@ -20,7 +20,7 @@ import numpy as np
 from . import _rk4
 from ._reduce import exact_mean_complex, exact_row_sums
 from ._rk4 import Trajectory, integrate_fixed, record_stride
-from .circle import TWO_PI, frozen, is_size, wrap_angle
+from .circle import TWO_PI, frozen, is_size, is_winding, wrap_angle
 from .errors import DomainError, KernelDomain
 
 
@@ -249,7 +249,7 @@ def ds_simulate(
 
 def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:
     """Finite counterpart of a twisted field: ``x_j = 2*pi*j*m/n + q``."""
-    if not is_size(n, 1):
-        raise DomainError(f"need an integer of at least one particle, got {n!r}")
+    if not (is_size(n, 1) and is_winding(m)):
+        raise DomainError(f"need integers n >= 1 and m in the float range, got n={n!r}, m={m!r}")
     return ParticleState(wrap_angle(TWO_PI * np.arange(n) * m / n + q))
 

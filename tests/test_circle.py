@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kuralim import (
+    BridgeResult,
     CdfFn,
     CircularDensity,
     DomainError,
@@ -153,6 +154,11 @@ def _caller_arrays(name):
             EmpiricalMeasure, dict(positions=np.array([0.5, 1.5]), weights=np.array([0.25, 0.75]))
         ),
         "CdfFn": (CdfFn, dict(grid=g, values=np.array([0.0, 0.25, 0.5, 0.75, 1.0]))),
+        "BridgeResult": (
+            BridgeResult,
+            dict(times=np.array([0.0, 0.1]), fields=np.ones((2, 3)), drift=np.array([0.0, 0.01]),
+                 label_grid=LabelGrid(3)),
+        ),
     }[name]
 
 
@@ -161,6 +167,7 @@ def _caller_arrays(name):
     [
         "Trajectory", "DensityTrajectory", "FourierDensity", "ParticleState",
         "TabulatedGradient", "LabelField", "CircularDensity", "EmpiricalMeasure", "CdfFn",
+        "BridgeResult",
     ],
 )
 def test_value_types_keep_private_readonly_copies(name):

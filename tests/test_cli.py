@@ -302,6 +302,12 @@ def test_transform_refuses_coarse_recording(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_transform_without_an_input_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 8\nT: 0.05\n")
+    assert run_cli(["transform", "--config", cfg]) == 2
+    assert _single_error_line(capsys) == "error: no input trajectory: pass --input or set output in the config"
+
+
 def test_transform_requires_grid_mode(tmp_path, capsys):
     cfg = _write(tmp_path, "c.yaml", "mode: cl\nkernel: kuramoto\nn_labels: 8\nT: 0.1\n")
     assert run_cli(["transform", "--config", cfg]) == 2
@@ -373,6 +379,23 @@ def test_simulate_refuses_schedules_past_max_steps(tmp_path, capsys, dt, t_end):
     assert run_cli(["simulate", "--config", cfg]) == 2
     assert "steps" in _single_error_line(capsys)
     assert not (tmp_path / "out.csv").exists()
+
+
+OA_BELOW_RANGE = {
+    "flow-t": (["flow", "--t", "-1"], "--t must be nonnegative"),
+    "flow-every": (["flow", "--t", "1", "--output-every", "0"], "--output-every must be positive"),
+    "eval-n": (["eval", "--n", "0"], "--n must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("args, message", OA_BELOW_RANGE.values(), ids=OA_BELOW_RANGE.keys())
+def test_oa_arguments_below_their_range_exit_two(tmp_path, capsys, args, message):
+    out = tmp_path / "oa.csv"
+    command, *rest = args
+    argv = ["oa", command, "--alpha", "0.3", "--beta", "0.5", *rest, "--output", str(out)]
+    assert run_cli(argv) == 2
+    assert _single_error_line(capsys) == f"error: {message}"
+    assert not out.exists()
 
 
 def test_oa_flow_refuses_infinite_output_interval(tmp_path, capsys):
@@ -561,6 +584,26 @@ def test_verify_subcommand_exit_codes(tmp_path, capsys):
     assert "FAIL" in captured.err
 
 
+def test_json_files_are_indented_with_a_final_newline(tmp_path, capsys):
+    # .meta.json, .drift.json and verify reports share one writer
+    seeded = _write(tmp_path, "ds.yaml", f"mode: ds\nN: 4\nT: 0.0\nseed: 7\noutput: {tmp_path}/ds.csv\n")
+    assert run_cli(["simulate", "--config", seeded]) == 0
+    assert (tmp_path / "ds.meta.json").read_text() == '{\n  "seed": 7\n}\n'
+    cfg = _grid_run(tmp_path)
+    assert run_cli(["transform", "--config", cfg]) == 0
+    drift = (tmp_path / "g.transform.drift.json").read_text()
+    assert drift == json.dumps(json.loads(drift), indent=2) + "\n"
+
+    def report(output):
+        capsys.readouterr()
+        assert run_cli(["verify", "spectrum"] + output) == 0
+        text = capsys.readouterr().out or (tmp_path / "r.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        return {k: v for k, v in json.loads(text).items() if k != "runtime_s"}
+
+    assert report([]) == report(["--output", ""]) == report(["--output", str(tmp_path / "r.json")])
+
+
 def test_missing_config_exits_two(tmp_path, capsys):
     assert run_cli(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -602,19 +645,29 @@ def test_version_prints_package_version(capsys):
     assert out.startswith("kuralim ")
 
 
+FILE_INITIALS = {
+    "ds": ("N", [[0.1], [2.0], [4.0], [5.5]]),
+    "cl": ("n_labels", [[0.1], [2.0], [4.0], [5.5]]),
+    "mfl-grid": ("n_cells", [[0.1], [0.2], [0.15], [2 / np.pi - 0.45]]),
+    # one mode per line, its real and imaginary parts
+    "mfl-spectral": ("n_modes", [[0.1, 0.05], [-0.02, 0.01], [0.003, -0.001]]),
+}
+
+
 def test_file_initial_round_trip(tmp_path):
-    positions = np.array([0.1, 2.0, 4.0, 5.5])
-    init = tmp_path / "init.csv"
-    np.savetxt(init, positions, fmt="%.17e")
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        "mode: ds\nN: 4\nkernel: kuramoto\ndt: 0.05\nT: 0.0\noutput_every: 0.05\n"
-        f"initial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 0
-    rows = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert np.allclose(rows[0, 1:], positions, atol=1e-15)
+    # the T: 0 row is the file's numbers, each formatted as it was written
+    for mode, (size_key, rows) in FILE_INITIALS.items():
+        lines = [",".join("%.16e" % v for v in row) for row in rows]
+        init = _write(tmp_path, f"{mode}.init.csv", "".join(line + "\n" for line in lines))
+        cfg = _write(
+            tmp_path,
+            "run.yaml",
+            f"mode: {mode}\n{size_key}: {len(rows)}\nkernel: kuramoto\ndt: 0.05\nT: 0.0\n"
+            f"output_every: 0.05\ninitial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/{mode}.csv\n",
+        )
+        assert run_cli(["simulate", "--config", cfg]) == 0
+        out = (tmp_path / f"{mode}.csv").read_text().splitlines()
+        assert out[1:] == ["%.16e," % 0.0 + ",".join(lines)], mode
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,21 @@ def test_twisted_field_values():
     assert np.allclose(two.values, wrap_angle(2 * TWO_PI * g.midpoints))
 
 
+# 0.5 gives a field that is not periodic in the label; True was read as 1;
+# 10**400 overflowed the float product.
+@pytest.mark.parametrize("m", [0.5, 1.0, True, 10**400, -(10**400)],
+                         ids=["half", "integral-float", "bool", "huge", "-huge"])
+def test_twisted_field_refuses_a_non_integer_winding(m):
+    with pytest.raises(DomainError, match="float range"):
+        twisted_field(LabelGrid(4), m)
+
+
+@pytest.mark.parametrize("m", [0, -3, np.int64(2), 10**300], ids=["zero", "negative", "numpy", "10**300"])
+def test_twisted_field_accepts_integer_windings(m):
+    g = LabelGrid(4)
+    assert twisted_field(g, m).values.tobytes() == wrap_angle(TWO_PI * float(m) * g.midpoints).tobytes()
+
+
 @pytest.mark.parametrize("m,q", [(0, 0.0), (1, 0.0), (2, 1.0), (3, 0.5)])
 def test_twisted_fields_are_equilibria(m, q):
     f = twisted_field(LabelGrid(256), m, q)

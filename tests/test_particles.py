@@ -302,6 +302,23 @@ def test_discrete_twisted_state_accepts_a_numpy_integer_count():
     )
 
 
+# Windings the CLI refuses: 1.5 gives [0, 2.356, 4.712, 0.785], not a
+# twisted state; True was read as 1; 10**400 overflowed the float product.
+WRONG_WINDINGS = {"half": 1.5, "integral-float": 1.0, "bool": True, "huge": 10**400, "-huge": -(10**400)}
+
+
+@pytest.mark.parametrize("m", WRONG_WINDINGS.values(), ids=WRONG_WINDINGS.keys())
+def test_discrete_twisted_state_refuses_a_non_integer_winding(m):
+    with pytest.raises(DomainError, match="float range"):
+        discrete_twisted_state(4, m)
+
+
+@pytest.mark.parametrize("m", [0, -3, np.int64(2), 10**300], ids=["zero", "negative", "numpy", "10**300"])
+def test_discrete_twisted_state_accepts_integer_windings(m):
+    positions = discrete_twisted_state(4, m).positions
+    assert positions.tobytes() == wrap_angle(TWO_PI * np.arange(4) * float(m) / 4).tobytes()
+
+
 def test_discrete_twisted_state_layout():
     s = discrete_twisted_state(4, 1)
     assert np.allclose(s.positions, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
@@ -395,3 +412,22 @@ def test_velocity_field_matches_frozen_dot_loop_bytes(kernel, n, anchor):
     frozen = _frozen_velocity_field(kernel, theta, centers)
     for name, masses in _mass_variants(n).items():
         assert field(masses).tobytes() == frozen(masses).tobytes(), name
+
+
+FAST_KERNELS = [KuramotoSin(1.0), KuramotoSin(1.7), KuramotoSin(-0.3), OddTrig((1.0, -0.5)),
+                OddTrig((0.3, 0.0, 2.0))]
+
+
+@pytest.mark.parametrize("kernel", FAST_KERNELS, ids=repr)
+def test_fast_kernel_forms_match_the_generic_reductions_of_their_own_phi(kernel):
+    # KuramotoSin and OddTrig replace the generic reductions with
+    # order-parameter forms; both must still compute the kernel's own phi.
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 16, 255, 256, 257, 512, 513):
+        x = rng.uniform(0.0, TWO_PI, n)
+        generic = InteractionKernel.mean_interaction(kernel, x)
+        assert np.max(np.abs(kernel.mean_interaction(x) - generic)) < 1e-14, n
+        interfaces = np.arange(n) * (TWO_PI / n)
+        masses = rng.random(n) / n
+        generic = InteractionKernel.circle_velocity(kernel, interfaces, x, masses)
+        assert np.max(np.abs(kernel.circle_velocity(interfaces, x, masses) - generic)) < 1e-14, n
