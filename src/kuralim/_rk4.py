@@ -86,7 +86,7 @@ def integrate_fixed(
     ``record_every``-th step; the first and last states are always
     included.  Raises :class:`DomainError` when ``dt`` exceeds a positive
     ``t_end``, and :class:`NonFinite` naming the first bad step if the
-    state leaves the finite range.
+    state leaves the finite range or the step raises ``OverflowError``.
     """
     if not is_size(record_every, 1):
         raise DomainError("record_every must be a positive integer")
@@ -106,7 +106,10 @@ def integrate_fixed(
         for k in range(1, n_total + 1):
             h = dt if k <= n_full else remainder
             t = k * dt if k <= n_full else t_end
-            y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
+            try:
+                y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
+            except OverflowError:  # math.fsum of an interaction sum: no finite state
+                y = np.nan
             if not np.all(np.isfinite(y)):
                 raise NonFinite(f"non-finite state at step {k} (t = {t:.6g})")
             if k % record_every == 0 or k == n_total:

@@ -94,6 +94,14 @@ def is_winding(m) -> bool:
     return is_size(m, -sys.float_info.max) and m <= sys.float_info.max
 
 
+def clip_labels(xi) -> np.ndarray:
+    """Quantile labels ``xi`` as floats clipped to ``[0, 1]``; farther than 1e-12 out is refused."""
+    x = np.asarray(xi, dtype=float)
+    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
+        raise DomainError("quantile argument outside [0, 1]")
+    return np.clip(x, 0.0, 1.0)
+
+
 def frozen(obj, name: str, value, dtype=float) -> np.ndarray:
     """Store a private read-only copy of ``value`` as field ``name`` of the
     frozen dataclass ``obj`` and return it.
@@ -168,7 +176,8 @@ class CircularDensity:
             raise DomainError("density values must be finite")
         if np.any(vals < -1e-12):
             raise DomainError("density has negative values beyond tolerance")
-        m = self.mass()
+        with np.errstate(over="ignore"):  # a mass past the float range is refused below
+            m = self.mass()
         if abs(m - 1.0) > MASS_TOL:
             raise NonNormalized(f"density mass {m!r} differs from 1 by more than {MASS_TOL}")
 
@@ -267,10 +276,7 @@ class QuantileFn:
             raise NotStrictlyMonotone(f"CDF has a cell increment below {FLAT_TOL}")
 
     def __call__(self, xi):
-        x = np.asarray(xi, dtype=float)
-        if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
-            raise DomainError("quantile argument outside [0, 1]")
-        x = np.clip(x, 0.0, 1.0)
+        x = clip_labels(xi)
         F = self.cdf.values
         nodes = self.cdf.nodes
         hi = np.clip(np.searchsorted(F, x, side="left"), 1, len(F) - 1)
@@ -287,10 +293,7 @@ def empirical_quantile(m: EmpiricalMeasure, xi):
     atom itself, matching the left-continuous step convention.  Circle
     atoms are ordered by their canonical representative.
     """
-    x = np.asarray(xi, dtype=float)
-    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
-        raise DomainError("quantile argument outside [0, 1]")
-    x = np.clip(x, 0.0, 1.0)
+    x = clip_labels(xi)
     order = np.argsort(m.positions, kind="stable")
     pos = m.positions[order]
     cum = np.cumsum(m.weights[order])

@@ -46,13 +46,13 @@ from .particles import (
 from .bridge import mfl_to_cl_circle
 from .verify import SUITES, run_suite
 
-MODES = ("ds", "cl", "mfl-spectral", "mfl-grid")
-SIZE_KEY = {"ds": "N", "cl": "n_labels", "mfl-spectral": "n_modes", "mfl-grid": "n_cells"}
-INITIAL_TYPES = {
-    "ds": ("uniform", "twisted", "oa", "file"),
-    "cl": ("twisted", "oa", "file"),
-    "mfl-spectral": ("uniform", "oa", "file"),
-    "mfl-grid": ("uniform", "oa", "file"),
+#: Mode -> (size key, initial types, default initial).  By default a run
+#: starts from the mode's uniform state; cl from the identity field, one twist.
+MODES = {
+    "ds": ("N", ("uniform", "twisted", "oa", "file"), {"type": "uniform"}),
+    "cl": ("n_labels", ("twisted", "oa", "file"), {"type": "twisted", "m": 1}),
+    "mfl-spectral": ("n_modes", ("uniform", "oa", "file"), {"type": "uniform"}),
+    "mfl-grid": ("n_cells", ("uniform", "oa", "file"), {"type": "uniform"}),
 }
 
 #: Most rows ``oa eval`` and ``oa flow`` write.  A longer table is refused
@@ -151,7 +151,7 @@ RUN_KEYS = {
     "T": (_nonnegative, None, "T must be a nonnegative number"),
     "output_every": (_positive, 0.1, "output_every must be a positive number"),
 }
-PART_KEYS = ("mode", *SIZE_KEY.values(), "kernel", "initial", "output", "seed")
+PART_KEYS = ("mode", *[k for k, _, _ in MODES.values()], "kernel", "initial", "output", "seed")
 
 #: Kernel type -> its keys besides ``type``, which are its class's fields.
 KERNELS = {
@@ -249,12 +249,13 @@ def parse_config(text: str) -> RunConfig:
     problems: list[str] = []
     run = _read({k: v for k, v in doc.items() if k not in PART_KEYS}, RUN_KEYS, problems, "keys")
     mode = doc.get("mode")
-    if mode not in MODES:
+    # a tuple, as the mode may be an unhashable value
+    if mode not in tuple(MODES):
         problems.append(f"mode must be one of {', '.join(MODES)}")
         raise ValidationError("; ".join(problems))
 
-    size_key = SIZE_KEY[mode]
-    wrong_sizes = [k for k in SIZE_KEY.values() if k != size_key and k in doc]
+    size_key, initial_types, default_initial = MODES[mode]
+    wrong_sizes = [k for k, _, _ in MODES.values() if k != size_key and k in doc]
     if wrong_sizes:
         problems.append(f"size keys {wrong_sizes} do not apply to mode {mode!r}")
     size = doc.get(size_key)
@@ -276,10 +277,8 @@ def parse_config(text: str) -> RunConfig:
     if mode == "mfl-spectral" and kernel != KuramotoSin(1.0):
         problems.append("mfl-spectral supports only the unit-coupling sine kernel")
 
-    # by default the mode's uniform state; for cl the identity field, one twist
-    spec = doc.get("initial", {"type": "twisted", "m": 1} if mode == "cl" else {"type": "uniform"})
-    tables = {name: INITIALS[name] for name in INITIAL_TYPES[mode]}
-    kind, values = _read_typed(spec, tables, problems, "initial")
+    tables = {name: INITIALS[name] for name in initial_types}
+    kind, values = _read_typed(doc.get("initial", default_initial), tables, problems, "initial")
     initial = {"type": kind, **values}
     if mode.startswith("mfl") and "q" in values:
         problems.append("initial q rotates labels or particles; a density has neither")

@@ -64,7 +64,11 @@ def twisted_field(grid: LabelGrid, m: int, q: float = 0.0) -> LabelField:
     """Stationary winding profile ``x(xi) = 2*pi*m*xi + q`` on the grid."""
     if not is_winding(m):
         raise DomainError(f"need an integer winding m in the float range, got {m!r}")
-    return LabelField(grid, wrap_angle(TWO_PI * m * grid.midpoints + q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = TWO_PI * m * grid.midpoints + q
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"winding m = {m:.6g} with q = {q:.6g} puts angles past the float range")
+    return LabelField(grid, wrap_angle(x))
 
 
 def manifold_field(grid: LabelGrid, point: OAPoint, q: float = 0.0) -> LabelField:

@@ -199,10 +199,13 @@ def mfl_simulate_grid(
     centers = grid.nodes + 0.5 * dtheta
     interfaces = grid.nodes
 
+    # Kernel values past the float range fail the first step, as an
+    # overflow inside a step does, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = kernel.velocity_field(interfaces, centers)
+
     # The state is the cell values followed by the mass that has crossed
     # the theta = 0 interface so far.
-    field = kernel.velocity_field(interfaces, centers)
-
     def velocity(y):
         return field(y[:-1] * dtheta)
 

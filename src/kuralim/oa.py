@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, ThetaGrid, CircularDensity, wrap_pm_pi
+from .circle import TWO_PI, ThetaGrid, CircularDensity, clip_labels, wrap_pm_pi
 from .errors import DomainError
 
 #: Concentrations at least this close to 1 are clamped at construction.
@@ -65,13 +65,16 @@ class OAPoint:
 
 
 def _poisson_denominator(p: OAPoint, psi):
-    return 1.0 - 2.0 * p.beta * np.cos(psi) + p.beta * p.beta
+    # 1 - 2b cos(psi) + b^2, written so that it does not cancel at the peak
+    b = p.beta
+    return (1.0 - b) ** 2 + 4.0 * b * np.sin(0.5 * psi) ** 2
 
 
 def oa_density(p: OAPoint, theta):
     """Family density at angle ``theta``; strictly positive for beta < 1."""
     th = np.asarray(theta, dtype=float)
-    out = (1.0 - p.beta**2) / (TWO_PI * _poisson_denominator(p, th + p.alpha))
+    b = p.beta
+    out = (1.0 - b) * (1.0 + b) / (TWO_PI * _poisson_denominator(p, th + p.alpha))
     return out if out.ndim else float(out)
 
 
@@ -133,11 +136,9 @@ def oa_quantile(p: OAPoint, xi):
     floor-term form is kept: the two differ in the last bit, and stored
     outputs are compared byte for byte.
     """
-    x = np.asarray(xi, dtype=float)
+    x = clip_labels(xi)
     scalar = x.ndim == 0
-    if np.any((x < -1e-12) | (x > 1.0 + 1e-12)):
-        raise DomainError("quantile argument outside [0, 1]")
-    x = np.atleast_1d(np.clip(x, 0.0, 1.0))
+    x = np.atleast_1d(x)
     if p.beta == 0.0:
         out = TWO_PI * x
         return float(out[0]) if scalar else out

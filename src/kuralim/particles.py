@@ -169,8 +169,7 @@ class OddTrig(InteractionKernel):
     def mean_interaction(self, positions: np.ndarray) -> np.ndarray:
         out = np.zeros_like(positions)
         for m, km in enumerate(self.coefficients, start=1):
-            if km != 0.0:
-                out += km * _sine_mean(positions, m)
+            out += km * _sine_mean(positions, m)
         return out
 
 
@@ -195,8 +194,10 @@ class TabulatedGradient(InteractionKernel):
         if u.ndim != 1 or u.shape != v.shape or len(u) < 2:
             raise DomainError("offsets/values must be matching 1-d arrays, length >= 2")
         _check_finite("offsets/values", np.concatenate([u, v]))
-        if np.any(np.diff(u) <= 0):
+        if np.any(u[1:] <= u[:-1]):  # np.diff would overflow on a window past the float range
             raise DomainError("offsets must be strictly increasing")
+        if float(u[-1]) - float(u[0]) == np.inf:
+            raise DomainError("offsets must span a window width in the float range")
 
     def phi(self, x, y):
         d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
@@ -251,5 +252,9 @@ def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:
     """Finite counterpart of a twisted field: ``x_j = 2*pi*j*m/n + q``."""
     if not (is_size(n, 1) and is_winding(m)):
         raise DomainError(f"need integers n >= 1 and m in the float range, got n={n!r}, m={m!r}")
-    return ParticleState(wrap_angle(TWO_PI * np.arange(n) * m / n + q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = TWO_PI * np.arange(n) * m / n + q
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"winding m = {m:.6g} with q = {q:.6g} puts angles past the float range")
+    return ParticleState(wrap_angle(x))
 

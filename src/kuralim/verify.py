@@ -308,8 +308,6 @@ def verify_bridge(
     field0 = LabelField(label_grid, quantile0(label_grid.midpoints))
     label_traj = cl_simulate(field0, kernel, dt, t_end, output_every=dt)
 
-    if len(label_traj.times) != len(transformed.times):
-        raise DomainError("recording mismatch between density and label runs")
     worst = 0.0
     for k in range(len(label_traj.times)):
         gap = np.max(circle_distance(transformed.fields[k], label_traj.states[k]))

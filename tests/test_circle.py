@@ -1,5 +1,6 @@
 """Circle geometry, grids, and CDF/quantile inversion."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -351,3 +352,12 @@ def test_cdf_fn_validation():
         CdfFn(g, np.array([0.0, 0.5, 0.4, 0.8, 1.0]))  # decreasing
     with pytest.raises(DomainError):
         CdfFn(g, np.array([0.1, 0.5, 0.6, 0.8, 1.0]))  # wrong endpoint
+
+
+@pytest.mark.parametrize("values", [[0.0, 1e308], [1e308, 1e308]], ids=["product", "sum"])
+def test_density_of_a_mass_past_the_float_range_is_not_normalized(values):
+    # the mass overflowed with a RuntimeWarning before the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonNormalized, match="density mass inf"):
+            CircularDensity(ThetaGrid(2), np.array(values))

@@ -1,10 +1,13 @@
 """Configuration parsing and end-to-end command runs."""
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -451,8 +454,16 @@ def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch
          "initial: {type: uniform}\nseed: 3\n", "0.3"),
         ("mode: cl\nn_labels: 8\nkernel: {type: odd-trig, coefficients: [1.0e308, 1.0e308]}\n"
          "initial: {type: oa, alpha: 0.3, beta: 0.9}\n", "0.1"),
+        # interaction sums that overflow math.fsum: ds sums its 3 particles
+        # with math.fsum itself, cl its 600 labels on the extraction path,
+        # which hands rows that close to overflow to math.fsum
+        ("mode: ds\nN: 3\nkernel: {type: tabulated, offsets: [-3.141592653589793, "
+         "3.141592653589793], values: [1.0e308, 1.0e308], periodic: true}\n"
+         "initial: {type: uniform}\nseed: 0\n", "0.01"),
+        ("mode: cl\nn_labels: 600\nkernel: {type: tabulated, offsets: [-7.0, 7.0], "
+         "values: [1.0e308, 1.0e308], periodic: false}\n", "0.01"),
     ],
-    ids=["ds", "cl"],
+    ids=["ds", "cl", "fsum", "extraction"],
 )
 def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, head, dt):
     # The state overflows in the first step.  numpy's overflow and
@@ -465,6 +476,22 @@ def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, head, dt):
     )
     assert run_cli(["simulate", "--config", cfg]) == 2
     assert _single_error_line(capsys) == f"error: non-finite state at step 1 (t = {dt})"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels")])
+def test_twisted_winding_whose_angles_overflow_exits_two(tmp_path, capsys, mode, size_key):
+    # m is in the float range, its angles are not: numpy's warnings came first
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: {mode}\n{size_key}: 4\nT: 0.01\ninitial: {{type: twisted, m: {10**308}}}\n"
+        f"output: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert _single_error_line(capsys) == (
+        "error: winding m = 1e+308 with q = 0 puts angles past the float range"
+    )
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -568,6 +595,16 @@ def test_oa_eval_table(tmp_path):
     assert np.all(np.diff(cdf) > 0.0)
     assert np.all(density > 0.0)
     assert abs(quantile[-1] - 2 * np.pi) < 1e-12
+
+
+@pytest.mark.parametrize("beta", ["1", "0.9999999999999999"])
+def test_oa_eval_near_beta_one_writes_finite_cells(tmp_path, capsys, beta):
+    # the density's old form divided by zero at the peak and wrote inf
+    out = tmp_path / "eval.csv"
+    assert run_cli(["oa", "eval", "--alpha", "0", "--beta", beta, "--n", "4", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (5, 5) and np.all(np.isfinite(rows))
 
 
 def test_verify_subcommand_exit_codes(tmp_path, capsys):
@@ -1637,3 +1674,123 @@ def test_readme_documents_the_config_tables():
     assert listed <= table_keys, listed - table_keys
     listed_types = set(re.findall(r"type: ([\w-]+)", example))
     assert listed_types <= {*cli.KERNELS, *cli.INITIALS}, listed_types
+
+
+# The simulate contract over the edges of the number line.  Every number of
+# a config is drawn from EDGE_VALUES; windings also near the float range,
+# concentrations also just below 1.  Sizes are at most 16 and runs at most
+# 20 steps.  A run exits 0 with a CSV of finite cells under its mode's
+# header, or exits 2 with one "error:" line; it never raises.
+EDGE_VALUES = [0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300, 1e308, -1e308]
+EDGE_WINDINGS = [0, 1, -1, 10**300, 2**1023, 10**308, -(10**308), 10**400]
+EDGE_BETAS = [0.0, 0.5, 0.99, 1 - 1e-6, 1 - 1e-9, 0.9999999999999999, 1.0]
+
+
+def _edge_keys(width):
+    """Key -> strategy for every key of the kernel and initial tables;
+    coefficients have ``width`` entries, offsets (strictly increasing) and
+    values ``width + 1``."""
+    value = st.sampled_from(EDGE_VALUES)
+    offsets = st.sampled_from(EDGE_VALUES + [-7.0, -np.pi, np.pi, 7.0])
+    return {
+        "coupling": value,
+        "coefficients": st.lists(value, min_size=width, max_size=width),
+        "offsets": st.lists(offsets, min_size=width + 1, max_size=width + 1, unique=True).map(sorted),
+        "values": st.lists(value, min_size=width + 1, max_size=width + 1),
+        "periodic": st.booleans(),
+        "m": st.sampled_from(EDGE_WINDINGS),
+        "q": value,
+        "alpha": value,
+        "beta": st.sampled_from(EDGE_BETAS),
+        "path": st.just("init.csv"),
+    }
+
+
+def _edge_part(draw, tables, keys):
+    """A kernel or initial mapping of a type drawn from ``tables``, or None."""
+    kind = draw(st.sampled_from([None, *tables]))
+    if kind is None:
+        return None
+    part = {"type": kind}
+    for key, (_, default, _) in tables[kind].items():
+        if default is not cli.OPTIONAL or draw(st.booleans()):
+            part[key] = draw(keys[key])
+    return part
+
+
+@st.composite
+def _edge_runs(draw):
+    """A simulate config as a dict, and the rows of its initial file."""
+    mode = draw(st.sampled_from(list(cli.MODES)))
+    size = draw(st.integers(1, 16))
+    dt = draw(st.sampled_from([1e-300, 1e-3, 0.1, 1.0, 1e300]))
+    steps = draw(st.integers(0, 19)) + draw(st.sampled_from([0.0, 0.5, 1.0]))
+    doc = {"mode": mode, cli.MODES[mode][0]: size, "dt": dt, "T": dt * steps}
+    every = draw(st.sampled_from([None, dt, 2 * dt, 1e-300, 1e300]))
+    if every is not None:
+        doc["output_every"] = every
+    keys = _edge_keys(draw(st.integers(1, 3)))
+    for name, tables in (("kernel", cli.KERNELS), ("initial", cli.INITIALS)):
+        part = _edge_part(draw, tables, keys)
+        if part is not None:
+            doc[name] = part
+    if mode == "ds" and doc.get("initial", {"type": "uniform"})["type"] == "uniform":
+        doc["seed"] = 0
+    columns = 2 if mode == "mfl-spectral" else 1
+    cell = st.sampled_from(EDGE_VALUES + [1.0 / TWO_PI])
+    rows = draw(st.lists(st.lists(cell, min_size=columns, max_size=columns), min_size=size, max_size=size))
+    return doc, rows
+
+
+def _mode_header(mode, size):
+    if mode == "mfl-spectral":
+        return ["t"] + [f"{p}_c_{n}" for n in range(1, size + 1) for p in ("re", "im")]
+    return ["t"] + [f"{'f' if mode == 'mfl-grid' else 'x'}_{j}" for j in range(size)]
+
+
+def _tabulated(offsets, values, periodic):
+    return {"type": "tabulated", "offsets": offsets, "values": values, "periodic": periodic}
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, database=None)
+@given(run=_edge_runs())
+@example(run=({"mode": "ds", "N": 3, "dt": 0.01, "T": 0.01, "seed": 0, "initial": {"type": "uniform"},
+               "kernel": _tabulated([-np.pi, np.pi], [1e308, 1e308], True)}, None))
+@example(run=({"mode": "cl", "n_labels": 600, "dt": 0.01, "T": 0.01,
+               "kernel": _tabulated([-7.0, 7.0], [1e308, 1e308], False)}, None))
+@example(run=({"mode": "ds", "N": 4, "T": 0.01, "initial": {"type": "twisted", "m": 10**308}}, None))
+@example(run=({"mode": "cl", "n_labels": 4, "T": 0.01, "initial": {"type": "twisted", "m": 10**308}}, None))
+# found by this test: a window, a mass and a kernel matrix past the float range
+@example(run=({"mode": "ds", "N": 1, "dt": 1e-300, "T": 0.0, "seed": 0,
+               "kernel": _tabulated([-1e308, 1e308], [0.0, 0.0], False)}, None))
+@example(run=({"mode": "mfl-grid", "n_cells": 2, "dt": 1e-300, "T": 0.0,
+               "initial": {"type": "file", "path": "init.csv"}}, [[0.0], [1e308]]))
+@example(run=({"mode": "mfl-grid", "n_cells": 4, "dt": 0.01, "T": 0.01,
+               "kernel": {"type": "odd-trig", "coefficients": [1e308, 1e308, 1e308]}}, None))
+def test_simulate_gives_a_csv_or_one_error_line(run):
+    doc, rows = run
+    mode = doc["mode"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        doc = {**doc, "output": str(out)}
+        if doc.get("initial", {}).get("type") == "file":
+            doc["initial"] = {**doc["initial"], "path": str(Path(tmp) / "init.csv")}
+            Path(doc["initial"]["path"]).write_text("".join(",".join(map(repr, r)) + "\n" for r in rows))
+        cfg = Path(tmp) / "run.yaml"
+        cfg.write_text(yaml.safe_dump(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli(["simulate", "--config", str(cfg)])
+        if code == 0:
+            assert err.getvalue() == ""
+            header, *lines = out.read_text().splitlines()
+            size = doc[cli.MODES[mode][0]]
+            assert header.split(",") == _mode_header(mode, size)
+            cells = np.array([line.split(",") for line in lines], dtype=float)
+            assert cells.shape == (len(lines), 1 + size * (2 if mode == "mfl-spectral" else 1))
+            assert np.all(np.isfinite(cells)), doc
+        else:
+            assert code == 2, doc
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
+            assert not out.exists()

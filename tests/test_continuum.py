@@ -1,4 +1,6 @@
 """Label-indexed continuum dynamics and the invariant-family fields."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,15 @@ def test_twisted_field_refuses_a_non_integer_winding(m):
 def test_twisted_field_accepts_integer_windings(m):
     g = LabelGrid(4)
     assert twisted_field(g, m).values.tobytes() == wrap_angle(TWO_PI * float(m) * g.midpoints).tobytes()
+
+
+@pytest.mark.parametrize("m", [10**308, -(10**308)], ids=["1e308", "-1e308"])
+def test_twisted_field_refuses_windings_whose_angles_overflow(m):
+    # numpy warned on the way to a field of NaN values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="puts angles past the float range"):
+            twisted_field(LabelGrid(4), m)
 
 
 @pytest.mark.parametrize("m,q", [(0, 0.0), (1, 0.0), (2, 1.0), (3, 0.5)])

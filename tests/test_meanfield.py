@@ -1,4 +1,6 @@
 """Mode-hierarchy and grid descriptions of the mean-field density."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from kuralim import (
     DomainError,
     FourierDensity,
     KuramotoSin,
+    NonFinite,
     OAPoint,
     OddTrig,
     ParticleState,
@@ -365,3 +368,14 @@ def test_dt_beyond_final_time_rejected(solver):
     with pytest.raises(DomainError, match="exceeds final time"):
         run(0.2, 0.1)
     assert len(run(0.2, 0.0)) == 1
+
+
+def test_grid_kernel_values_past_the_float_range_fail_the_first_step():
+    # the kernel matrix overflowed with a RuntimeWarning before any step
+    kernel = OddTrig((1e308, 1e308, 1e308))
+    initial = CircularDensity(ThetaGrid(4), np.full(4, 1.0 / TWO_PI))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(mfl_simulate_grid(initial, kernel, 0.01, 0.0)) == 1
+        with pytest.raises(NonFinite, match=r"^non-finite state at step 1 \(t = 0.01\)$"):
+            mfl_simulate_grid(initial, kernel, 0.01, 0.01)

@@ -4,6 +4,9 @@ Oracles here are deliberately independent of the closed forms under test:
 adaptive quadrature for integrals, central differences for derivatives,
 and a generic RK4 run for the radial flow.
 """
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -23,7 +26,7 @@ from kuralim import (
     wrap_pm_pi,
 )
 from kuralim._rk4 import integrate_fixed
-from kuralim.oa import POLE_TOL
+from kuralim.oa import BETA_CAP, POLE_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -213,3 +216,22 @@ def test_cell_averages_have_exact_mass():
         mids = g.grid.nodes + g.grid.spacing / 2.0
         errs.append(np.max(np.abs(g.values - oa_density(mild, mids))))
     assert errs[1] < 0.3 * errs[0]
+
+
+@pytest.mark.parametrize(
+    "beta", [1.0 - 10.0**-k for k in range(2, 10)] + [BETA_CAP, 1.0],
+    ids=[f"1-1e-{k}" for k in range(2, 10)] + ["BETA_CAP", "one"],
+)
+def test_density_at_the_peak_is_accurate_up_to_beta_cap(beta):
+    # f(-alpha) = (1 + b) / (2 pi (1 - b)); the old form cancelled there
+    # (10 % off at 1 - 1e-8, a division by zero at BETA_CAP)
+    p = OAPoint(0.0, beta)
+    b = Fraction(p.beta)
+    exact = (1 + b) / (2 * Fraction(np.pi) * (1 - b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        peak = oa_density(p, 0.0)
+        partials = oa_partials(p, np.array([0.0, np.pi, TWO_PI]))
+    assert abs(Fraction(peak) - exact) <= Fraction(1, 10**12) * exact
+    assert all(np.all(np.isfinite(x)) for x in partials)
+    assert partials[2][0] == peak

@@ -1,5 +1,6 @@
 """Finite-system dynamics: kernels, the mean interaction, and RK4 runs."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,16 @@ def test_kernels_reject_non_finite_parameters(bad):
         TabulatedGradient(np.array([-7.0, 0.0, bad]), np.array([1.0, 0.0, -1.0]))
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+def test_tabulated_window_past_the_float_range(periodic):
+    # np.diff of the offsets overflowed with a RuntimeWarning, and np.interp
+    # divided by the infinite gap: phi read 0 where about 0.5 is right
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="window width in the float range"):
+            TabulatedGradient(np.array([-1e308, 1e308]), np.array([0.0, 1.0]), periodic=periodic)
+
+
 @pytest.mark.parametrize("n", [4.5, 4.0, True])
 def test_discrete_twisted_state_refuses_a_non_integer_count(n):
     with pytest.raises(DomainError, match="integer"):
@@ -317,6 +328,16 @@ def test_discrete_twisted_state_refuses_a_non_integer_winding(m):
 def test_discrete_twisted_state_accepts_integer_windings(m):
     positions = discrete_twisted_state(4, m).positions
     assert positions.tobytes() == wrap_angle(TWO_PI * np.arange(4) * float(m) / 4).tobytes()
+
+
+@pytest.mark.parametrize("m", [10**308, -(10**308)], ids=["1e308", "-1e308"])
+def test_discrete_twisted_state_refuses_windings_whose_angles_overflow(m):
+    # m is in the float range, 2*pi*j*m/n is not: numpy warned on the way
+    # to a state of NaN positions
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="puts angles past the float range"):
+            discrete_twisted_state(4, m)
 
 
 def test_discrete_twisted_state_layout():

@@ -196,3 +196,29 @@ def test_spectral_errors_match_the_frozen_step_loop(modes, t_end, error):
 def test_integrate_fixed_refuses_a_non_integer_stride(record_every):
     with pytest.raises(DomainError, match="record_every"):
         integrate_fixed(np.negative, np.ones(2), 0.1, 1.0, record_every=record_every)
+
+
+def test_integrate_fixed_reads_an_overflow_error_of_a_step_as_non_finite():
+    def step(rhs, y, h, t):
+        if t > 0.15:
+            raise OverflowError("intermediate overflow in fsum")
+        return y + h
+
+    with pytest.raises(NonFinite, match=r"^non-finite state at step 2 \(t = 0.2\)$"):
+        integrate_fixed(np.negative, np.ones(2), 0.1, 1.0, step=step)
+
+
+# math.fsum raises OverflowError where a correctly rounded sum overflows:
+# 3 particles are summed by math.fsum itself, 600 by the extraction path,
+# which hands rows too close to overflow to math.fsum.
+OVERFLOWING_SUMS = {
+    "fsum": (3, TabulatedGradient(np.array([-np.pi, np.pi]), np.array([1e308, 1e308]), periodic=True)),
+    "extraction": (600, TabulatedGradient(np.array([-7.0, 7.0]), np.array([1e308, 1e308]))),
+}
+
+
+@pytest.mark.parametrize("n, kernel", OVERFLOWING_SUMS.values(), ids=OVERFLOWING_SUMS.keys())
+def test_ds_simulate_reads_an_overflowing_interaction_sum_as_non_finite(n, kernel):
+    state = ParticleState(np.linspace(0.0, 6.0, n))
+    with pytest.raises(NonFinite, match=r"^non-finite state at step 1 \(t = 0.01\)$"):
+        ds_simulate(state, kernel, 0.01, 0.01)
