@@ -7,8 +7,8 @@ sum of a multiset does not depend on operand order), and symmetric
 configurations cancel to the last ulp.  The correctly rounded sum is
 unique, so any exact method gives ``math.fsum``'s bits.
 
-:func:`exact_row_sums` sums arrays of more than :data:`CUTOFF` values by
-the error-free vector extraction of AccSum (Rump, Ogita & Oishi,
+:func:`exact_row_sums` sums every array by the error-free vector
+extraction of AccSum (Rump, Ogita & Oishi,
 "Accurate floating-point summation, Part I", SIAM J. Sci. Comput. 31(1),
 2008).  For rows of ``n`` values take ``2**m >= n + 2`` and the power of
 two ``sigma = 2**(e + m)`` with ``|p| < 2**e`` for every value ``p`` of
@@ -34,12 +34,13 @@ a column, and a row of smaller values only leaves more for
 Rows that hold a non-finite value, rows too close to overflow for
 ``sigma`` to exist, and rows of zeros (whose sign of zero is
 ``math.fsum``'s to choose) are summed by ``math.fsum`` itself, which also
-raises where it raises.  Arrays of at most :data:`CUTOFF` values go to
-``math.fsum`` row by row over Python floats: there the fixed cost of the
-numpy passes (about 30 us) exceeds ``math.fsum``'s (about 0.1 us a
-value).  :func:`exact_mean_complex` of at most ``CUTOFF / 2`` values
-takes that path directly, ``math.fsum`` of the real parts and of the
-imaginary parts, without building the two-row array first.
+raises where it raises.  :data:`CUTOFF` is :func:`exact_mean_complex`'s
+threshold only: a mean of at most ``CUTOFF / 2`` values is ``math.fsum``
+of the real parts and of the imaginary parts, since there the fixed cost
+of the numpy passes (about 30 us) exceeds ``math.fsum``'s (about 0.1 us a
+value).  Small rows take the extraction too: about 11 us for one row of
+8 values against 1 us by ``math.fsum``, 17 against 16 us for 22 x 22.
+Only the generic mean interaction at ``N <= 22`` sums so few values.
 """
 from __future__ import annotations
 
@@ -47,19 +48,16 @@ import math
 
 import numpy as np
 
-# Array size at or below which math.fsum is as fast as extraction: the two
-# meet at 500-600 values, whatever the row shape, on a 2-core Xeon with
-# numpy 2.4.  A complex mean of up to 256 values stays on math.fsum.
+# Values (real and imaginary parts) up to which a complex mean is summed by
+# math.fsum: it and the extraction meet at 500-600 values on a 2-core Xeon
+# with numpy 2.4.
 CUTOFF = 512
 
 
 def exact_row_sums(rows: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every row of a 2-d float array, bit for bit."""
+    """``math.fsum`` of every row of a 2-d float array of at least one column, bit for bit."""
     rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
-    if rows.size <= CUTOFF:
-        return np.array([math.fsum(r) for r in rows.tolist()], dtype=float)
-    m = (n + 1).bit_length()
+    m = (rows.shape[1] + 1).bit_length()
     limit = 2.0 ** (1023 - m)
     peak = np.abs(rows).max(axis=1)
     peaks = peak.tolist()

@@ -57,8 +57,6 @@ def step_schedule(dt: float, t_end: float) -> tuple[int, float]:
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if not 0.0 <= t_end < np.inf:
         raise DomainError(f"final time must be finite and nonnegative, got {t_end}")
-    if t_end == 0.0:
-        return 0, 0.0
     if not t_end / dt <= MAX_STEPS:
         raise DomainError(f"final time {t_end} / dt {dt} is more than {MAX_STEPS} steps")
     n_full = int(np.floor(t_end / dt + 1e-9))

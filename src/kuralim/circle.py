@@ -1,8 +1,9 @@
 """Circle geometry, grids, densities, CDFs and quantiles.
 
-Angles are plain floats in radians; the canonical representative lives in
-``[0, 2*pi)`` and is produced by :func:`wrap_angle`.  Labels (quantile
-arguments) live in ``[0, 1]``.  Two uniform grids appear everywhere:
+Angles are plain floats in radians; the canonical representative lies in
+the half-open ``[0, 2*pi)`` and is produced by :func:`wrap_angle`.  Labels
+(quantile arguments) live in ``[0, 1]``; :func:`wrap_label` maps them to
+``[0, 1)``.  Two uniform grids appear everywhere:
 
 * :class:`ThetaGrid` holds angle nodes ``theta_j = 2*pi*j / n_cells``.  A
   periodic trapezoid rule on these nodes has uniform weights
@@ -40,30 +41,29 @@ FLAT_TOL = 1e-10
 
 
 def wrap_angle(theta):
-    """Canonical circle representative in ``[0, 2*pi)``.
+    """Canonical circle representative in ``[0, 2*pi)``; never ``2*pi``.
 
     An array comes back as a new float array.  Its entries in the open
     interval ``(0, 2*pi)`` come back as they are, which is what ``np.mod``
-    returns for them; only the others go through ``np.mod``.  That maps
-    ``-0.0`` to ``+0.0`` and may round a tiny negative angle up to exactly
-    ``2*pi``.
+    returns for them; the others go through ``np.mod`` twice, since one
+    rounds a tiny negative angle up to ``2*pi``.  ``-0.0`` becomes ``+0.0``.
     """
     if np.ndim(theta) == 0:
-        return np.mod(theta, TWO_PI)
+        return np.mod(np.mod(theta, TWO_PI), TWO_PI)
     out = np.array(theta, dtype=float)
     outside = ~((out > 0.0) & (out < TWO_PI))
-    out[outside] = np.mod(out[outside], TWO_PI)
+    out[outside] = np.mod(np.mod(out[outside], TWO_PI), TWO_PI)
     return out
 
 
 def wrap_pm_pi(theta):
-    """Representative in ``[-pi, pi)``."""
-    return np.mod(np.asarray(theta, dtype=float) + np.pi, TWO_PI) - np.pi
+    """Representative in ``[-pi, pi)``; never ``pi``."""
+    return wrap_angle(np.asarray(theta, dtype=float) + np.pi) - np.pi
 
 
 def wrap_label(xi):
-    """Canonical label representative in ``[0, 1)``."""
-    return np.mod(xi, 1.0)
+    """Canonical label representative in ``[0, 1)``: ``np.mod`` twice, as :func:`wrap_angle`."""
+    return np.mod(np.mod(xi, 1.0), 1.0)
 
 
 def circle_distance(a, b):

@@ -68,7 +68,7 @@ def twisted_field(grid: LabelGrid, m: int, q: float = 0.0) -> LabelField:
         x = TWO_PI * m * grid.midpoints + q
     if not np.all(np.isfinite(x)):
         raise DomainError(f"winding m = {m:.6g} with q = {q:.6g} puts angles past the float range")
-    return LabelField(grid, wrap_angle(x))
+    return LabelField(grid, x)
 
 
 def manifold_field(grid: LabelGrid, point: OAPoint, q: float = 0.0) -> LabelField:
@@ -82,4 +82,4 @@ def manifold_field(grid: LabelGrid, point: OAPoint, q: float = 0.0) -> LabelFiel
     ``twisted_field(grid, 1, q)``.
     """
     w = wrap_label(grid.midpoints + oa_shift(point) + q / TWO_PI)
-    return LabelField(grid, wrap_angle(oa_quantile(point, w)))
+    return LabelField(grid, oa_quantile(point, w))

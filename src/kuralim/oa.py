@@ -187,22 +187,18 @@ def oa_partials(p: OAPoint, theta):
 def oa_flow(p: OAPoint, t: float) -> OAPoint:
     """Closed-form flow of the reduced dynamics after time ``t``.
 
-    ``beta(t) = beta0 / sqrt(beta0^2 + (1 - beta0^2) exp(-t))``; alpha is
-    constant.  Evaluated in an overflow-safe form for either sign of t;
-    ``beta(t)`` stays inside ``[0, 1)`` for all finite t (construction
-    clamping absorbs the rounding at the synchronized end).
+    ``beta(t) = beta0 / hypot(beta0, sqrt(1 - beta0^2) exp(-t/2))`` for either
+    sign of t (an infinite factor gives 0); alpha is constant.  ``beta(t)``
+    stays inside ``[0, 1)`` for all finite t (construction clamping absorbs
+    the rounding at the synchronized end).
     """
     if not np.isfinite(t):
         raise DomainError(f"flow time must be finite, got {t!r}")
     b0 = p.beta
-    if b0 == 0.0:
+    if b0 == 0.0:  # past t = 1490 the factor underflows, and 0 / 0 would follow
         return OAPoint(p.alpha, 0.0)
-    one_minus = 1.0 - b0 * b0
-    if t >= 0.0:
-        bt = b0 / np.sqrt(b0 * b0 + one_minus * np.exp(-t))
-    else:
-        half = np.exp(0.5 * t)
-        bt = b0 * half / np.sqrt(b0 * b0 * np.exp(t) + one_minus)
+    with np.errstate(over="ignore"):
+        bt = b0 / np.hypot(b0, np.sqrt((1.0 - b0) * (1.0 + b0)) * np.exp(-0.5 * t))
     return OAPoint(p.alpha, float(bt))
 
 
@@ -213,5 +209,5 @@ def poisson_circular_moment(p: OAPoint) -> complex:
     the unnormalized Poisson kernel.
     """
     b = p.beta
-    return TWO_PI * b * np.exp(-1j * p.alpha) / (1.0 - b * b)
+    return TWO_PI * b * np.exp(-1j * p.alpha) / ((1.0 - b) * (1.0 + b))
 

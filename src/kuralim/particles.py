@@ -256,5 +256,5 @@ def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:
         x = TWO_PI * np.arange(n) * m / n + q
     if not np.all(np.isfinite(x)):
         raise DomainError(f"winding m = {m:.6g} with q = {q:.6g} puts angles past the float range")
-    return ParticleState(wrap_angle(x))
+    return ParticleState(x)
 

@@ -357,7 +357,7 @@ def verify_sync_limit(
 
     headline_beta = 0.999 if 0.999 in probes else probes[-1]
     residual = sups[probes.index(headline_beta)]
-    monotone = all(b > a for a, b in zip(sups[1:], sups[:-1])) if len(sups) > 1 else True
+    monotone = all(b > a for a, b in zip(sups[1:], sups[:-1]))
     if not monotone:
         residual += 1.0
 

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kuralim import (
     BridgeResult,
@@ -57,27 +57,68 @@ SPECIAL_ANGLES = (
 )
 
 
+def _mod_reading_the_period_as_zero(x, period):
+    """np.mod(x, period), with a result equal to period read as 0."""
+    r = np.mod(x, period)
+    if np.ndim(r) == 0:
+        return type(r)(0.0) if r == period else r
+    r[r == period] = 0.0
+    return r
+
+
+# name: (wrap, reference, period, start of the range, the multiples' offset)
+WRAPS = {
+    "wrap_angle": (wrap_angle, lambda x: _mod_reading_the_period_as_zero(x, TWO_PI), TWO_PI, 0.0, 0.0),
+    "wrap_pm_pi": (
+        wrap_pm_pi,
+        lambda x: _mod_reading_the_period_as_zero(np.asarray(x, dtype=float) + np.pi, TWO_PI) - np.pi,
+        TWO_PI, -np.pi, -np.pi,
+    ),
+    "wrap_label": (wrap_label, lambda x: _mod_reading_the_period_as_zero(x, 1.0), 1.0, 0.0, 0.0),
+}
+
+
+def _near_multiple(k, ulps, period, offset):
+    """The float ``ulps`` steps above (below, if negative) ``k * period + offset``."""
+    x = k * period + offset
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.copysign(np.inf, ulps)))
+    return x
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(-20.0, 20.0), st.floats()),
+        st.one_of(
+            st.sampled_from(SPECIAL_ANGLES),
+            st.floats(-20.0, 20.0),
+            st.floats(),
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        ),
         max_size=40,
     )
 )
-def test_wrap_angle_matches_np_mod_bitwise(values):
-    # np.mod(theta, TWO_PI) is wrap_angle's former body.
-    x = np.array(values, dtype=float)
-    before = x.tobytes()
-    with np.errstate(invalid="ignore"):
-        for arg in (x, values):
-            got = wrap_angle(arg)
-            assert got.dtype == float and not np.shares_memory(got, x)
-            assert got.tobytes() == np.mod(x, TWO_PI).tobytes()
-        for v in values:
-            for arg in (v, np.float64(v), np.array(v)):
-                got, want = wrap_angle(arg), np.mod(arg, TWO_PI)
-                assert type(got) is type(want) and np.float64(got).tobytes() == want.tobytes()
-    assert x.tobytes() == before
+@example([(0, -1)])  # an ulp below zero, or below -pi: np.mod rounds up to the period
+def test_wrap_angle_matches_np_mod_bitwise(draws):
+    # Each wrap gives np.mod's bits, except that a result equal to the
+    # period end reads as the start; a tuple (k, ulps) is a value ulps
+    # steps from k periods past the range's boundary.
+    for name, (wrap, reference, period, start, offset) in WRAPS.items():
+        values = [_near_multiple(*d, period, offset) if isinstance(d, tuple) else d for d in draws]
+        x = np.array(values, dtype=float)
+        before = x.tobytes()
+        with np.errstate(invalid="ignore"):
+            want = reference(x)
+            assert np.all(np.isnan(want) | ((want >= start) & (want < start + period))), name
+            for arg in (x, values):
+                got = wrap(arg)
+                assert got.dtype == float and not np.shares_memory(got, x), name
+                assert got.tobytes() == want.tobytes(), name
+            for v in values:
+                for arg in (v, np.float64(v), np.array(v)):
+                    got, want = wrap(arg), reference(arg)
+                    assert type(got) is type(want) and np.float64(got).tobytes() == want.tobytes(), name
+        assert x.tobytes() == before, name
 
 
 def test_wrap_pm_pi_range():

@@ -430,6 +430,19 @@ def test_twisted_winding_past_float_range_exits_two(tmp_path, capsys, mode, size
         assert not (tmp_path / "out.csv").exists()
 
 
+def test_oa_flow_from_a_subnormal_beta_stays_finite(tmp_path, capsys):
+    # the old form divided 1e-320 by sqrt(beta^2 + exp(-1000)), both terms underflowed to 0
+    out = tmp_path / "tiny.csv"
+    assert run_cli([
+        "oa", "flow", "--alpha", "0", "--beta", "1e-320", "--t", "1000", "--output-every", "100",
+        "--output", str(out),
+    ]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()
+    assert len(rows) == 12
+    assert rows[-1] == "1.0000000000000000e+03,0.0000000000000000e+00,1.4035765919170885e-103"
+
+
 def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("kuralim.cli.MAX_OA_ROWS", 10)
     assert len(_oa_flow_times(1.0, 8.0)) == 9
@@ -705,6 +718,22 @@ def test_file_initial_round_trip(tmp_path):
         assert run_cli(["simulate", "--config", cfg]) == 0
         out = (tmp_path / f"{mode}.csv").read_text().splitlines()
         assert out[1:] == ["%.16e," % 0.0 + ",".join(lines)], mode
+
+
+@pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels")])
+def test_file_initial_angle_just_below_zero_reads_as_zero(tmp_path, mode, size_key):
+    # np.mod rounds -1e-17 up to exactly 2 pi, which the CSV once held
+    init = _write(tmp_path, "init.csv", "-1e-17\n1.0\n")
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: {mode}\n{size_key}: 2\nT: 0.01\ndt: 0.01\n"
+        f"initial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    rows = (tmp_path / "out.csv").read_text().splitlines()
+    assert rows[1] == "0.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e+00"
+    assert all(0.0 <= v < TWO_PI for row in rows[1:] for v in map(float, row.split(",")[1:]))
 
 
 @pytest.mark.parametrize(

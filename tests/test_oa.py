@@ -4,7 +4,9 @@ Oracles here are deliberately independent of the closed forms under test:
 adaptive quadrature for integrals, central differences for derivatives,
 and a generic RK4 run for the radial flow.
 """
+import decimal
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +54,11 @@ def test_point_keeps_in_range_alpha_and_wraps_the_rest(alpha, expected):
     # wrapping 0.3 through mod(alpha + pi, 2 pi) - pi would give 0.2999999999999998
     a = OAPoint(alpha, 0.1).alpha
     assert a == expected and -np.pi <= a < np.pi
+
+
+def test_point_wraps_the_ulp_below_minus_pi_to_minus_pi():
+    # np.mod(alpha + pi, 2 pi) rounds -4.4e-16 up to 2 pi, so alpha once read as pi
+    assert OAPoint(-3.1415926535897936, 0.3).alpha == -np.pi
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.2, 0.5), (-2.0, 0.9)])
@@ -196,12 +203,45 @@ def test_flow_long_time_saturates_without_overflow():
         oa_flow(p, np.inf)
 
 
+FLOW_BETAS = (1e-320, 1e-200, 1e-12, 0.1, 0.5, 1.0 - 1e-6, BETA_CAP)
+FLOW_TIMES = (-1000.0, -50.0, -1.0, 0.0, 1.0, 50.0, 1000.0)
+
+
+@pytest.mark.parametrize("t", FLOW_TIMES)
+@pytest.mark.parametrize("b0", FLOW_BETAS)
+def test_flow_matches_a_50_digit_reference(b0, t):
+    # beta0 / sqrt(beta0^2 + (1 - beta0^2) exp(-t)) in 50-digit decimals,
+    # rounded once and clamped as OAPoint clamps
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        b = Decimal(b0)
+        exact = b / (b * b + (1 - b * b) * Decimal(-t).exp()).sqrt()
+    want = min(float(exact), BETA_CAP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oa_flow(OAPoint(0.3, b0), t).beta
+    assert abs(got - want) <= 4 * np.spacing(want)
+
+
 def test_poisson_moment_against_quadrature():
     for alpha, beta in [(0.3, 0.5), (-2.0, 0.9), (1.0, 0.0)]:
         u = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
         kernel = np.exp(1j * u) / (1.0 - 2.0 * beta * np.cos(alpha + u) + beta**2)
         numeric = np.mean(kernel) * TWO_PI
         assert abs(poisson_circular_moment(OAPoint(alpha, beta)) - numeric) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "beta", [1.0 - 10.0**-k for k in range(2, 10)] + [BETA_CAP],
+    ids=[f"1-1e-{k}" for k in range(2, 10)] + ["BETA_CAP"],
+)
+def test_poisson_moment_is_accurate_up_to_beta_cap(beta):
+    # 1 - b * b cancelled near b = 1: 5.5e-10 relative at 1 - 1e-8
+    b = Fraction(beta)
+    exact = 2 * Fraction(np.pi) * b / (1 - b * b)
+    got = poisson_circular_moment(OAPoint(0.0, beta))
+    assert got.imag == 0.0
+    assert abs(Fraction(got.real) - exact) <= Fraction(1, 10**15) * exact
 
 
 def test_cell_averages_have_exact_mass():

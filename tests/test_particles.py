@@ -140,6 +140,13 @@ def test_step_schedule_limit_is_inclusive(monkeypatch):
         step_schedule(0.125, 1.01)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -0.0])
+@pytest.mark.parametrize("dt", [5e-324, 1e-300, 1.0, 1e300])
+def test_step_schedule_of_a_zero_final_time_is_empty(dt, t_end):
+    n_full, remainder = step_schedule(dt, t_end)
+    assert (n_full, remainder) == (0, 0.0) and math.copysign(1.0, remainder) == 1.0
+
+
 STEP_SIZES = st.floats(1e-100, 1e100)
 
 

@@ -118,6 +118,18 @@ def test_any_finite_floats_in_a_long_row(values):
     assert _same(_row_sum(x), _fsum(x))
 
 
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+    st.integers(1, CUTOFF),
+)
+def test_any_finite_floats_in_a_short_row(values, n):
+    # Rows of at most CUTOFF values take the extraction too; an overflowing
+    # sum raises as math.fsum does.
+    x = np.resize(np.array(values), n)
+    assert _same(_row_sum(x), _fsum(x))
+
+
 def test_twisted_state_cosines_cancel_like_fsum():
     for n in (1024, 4096):
         z = np.exp(1j * 2.0 * np.pi * np.arange(n) / n)
