@@ -55,13 +55,9 @@ MODES = {
     "mfl-grid": ("n_cells", ("uniform", "oa", "file"), {"type": "uniform"}),
 }
 
-#: Most rows ``oa eval`` and ``oa flow`` write.  A longer table is refused
-#: before any of it is built.
-MAX_OA_ROWS = 10**7
-
-#: Largest size a run or a transform accepts: ``N``, ``n_labels``,
-#: ``n_cells``, ``n_modes`` and ``--n-labels``.  A larger one is refused
-#: before any array is built.
+#: Longest array built from one CLI number: a run's or a transform's size
+#: (``N``, ``n_labels``, ``n_cells``, ``n_modes``, ``--n-labels``) and the
+#: rows ``oa eval`` and ``oa flow`` write.  A longer one is refused before it is built.
 MAX_SIZE = 10**7
 
 #: Deepest nesting of collections a config may have; a valid one nests three
@@ -120,7 +116,7 @@ def _nonnegative(x):
 
 def _concentration(x):
     x = _finite(x)
-    return x if x is not None and 0.0 <= x < 1.0 else None
+    return x if x is not None and 0.0 <= x <= 1.0 else None
 
 
 def _finite_list(xs):
@@ -172,7 +168,7 @@ INITIALS = {
     "twisted": {"m": (_winding, None, "twisted initial needs integer winding m"), "q": Q_ENTRY},
     "oa": {
         "alpha": (_finite, None, "oa initial needs a finite alpha"),
-        "beta": (_concentration, None, "oa initial needs beta in [0, 1)"),
+        "beta": (_concentration, None, "oa initial needs beta in [0, 1]"),
         "q": Q_ENTRY,
     },
     "file": {"path": (_path, None, "file initial needs a path string")},
@@ -481,18 +477,18 @@ def _oa_flow_times(every: float, t_end: float) -> np.ndarray:
     ``t_end``, then ``t_end`` itself if it is not one of them.
 
     Raises :class:`ValidationError` when that would be more than
-    :data:`MAX_OA_ROWS` rows.
+    :data:`MAX_SIZE` rows.
     """
     if t_end < 0:
         raise ValidationError("--t must be nonnegative")
     if every <= 0:
         raise ValidationError("--output-every must be positive")
+    if not every < np.inf:
+        raise ValidationError("--output-every must be finite")
     # At most t_end / every + 2 rows, a tighter limit than step_schedule's
-    # own MAX_STEPS.  A non-finite t_end or every is left to step_schedule.
-    if t_end < np.inf and t_end / every > MAX_OA_ROWS - 2:
-        raise ValidationError(
-            f"--t / --output-every would record more than {MAX_OA_ROWS} rows"
-        )
+    # own MAX_STEPS.  A non-finite t_end is left to step_schedule.
+    if t_end < np.inf and t_end / every > MAX_SIZE - 2:
+        raise ValidationError(f"--t / --output-every would record more than {MAX_SIZE} rows")
     n_full, remainder = step_schedule(every, t_end)
     times = np.arange(n_full + 1) * every
     return np.append(times, t_end) if remainder else times
@@ -504,8 +500,8 @@ def _cmd_oa(args) -> int:
         n = args.n
         if n < 1:
             raise ValidationError("--n must be at least 1")
-        if n + 1 > MAX_OA_ROWS:
-            raise ValidationError(f"--n would record more than {MAX_OA_ROWS} rows")
+        if n + 1 > MAX_SIZE:
+            raise ValidationError(f"--n would record more than {MAX_SIZE} rows")
         theta = np.arange(n + 1) * (TWO_PI / n)
         theta[-1] = TWO_PI
         xi = np.arange(n + 1) / n

@@ -19,7 +19,7 @@ from ._rk4 import Trajectory
 from .circle import TWO_PI, LabelGrid, frozen, is_winding, wrap_angle, wrap_label
 from .errors import DomainError
 from .oa import OAPoint, oa_quantile, oa_shift
-from .particles import InteractionKernel, _simulate_positions
+from .particles import InteractionKernel, ParticleState, ds_simulate
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class LabelField:
             raise DomainError(
                 f"values shape {vals.shape} does not match {self.grid.n_labels} labels"
             )
-        frozen(self, "values", wrap_angle(vals))
+        with np.errstate(invalid="ignore"):  # inf wraps to NaN, which the integrator refuses
+            frozen(self, "values", wrap_angle(vals))
 
 
 def cl_rhs(field: LabelField, kernel: InteractionKernel) -> np.ndarray:
@@ -53,11 +54,11 @@ def cl_simulate(
 ) -> Trajectory:
     """Fixed-step RK4 trajectory of the continuum-limit field.
 
-    Delegates to the same integration path as the finite system, so a
-    continuum run and a finite run with matching initial values produce
-    bitwise identical trajectories.
+    Runs through :func:`ds_simulate` on the label values, which are
+    already canonical, so a continuum run and a finite run from matching
+    initial values give bitwise identical trajectories.
     """
-    return _simulate_positions(field.values, kernel, dt, t_end, output_every)
+    return ds_simulate(ParticleState(field.values), kernel, dt, t_end, output_every)
 
 
 def twisted_field(grid: LabelGrid, m: int, q: float = 0.0) -> LabelField:

@@ -97,11 +97,16 @@ def _arctan_term(p: OAPoint, psi):
 
 
 def oa_cdf(p: OAPoint, theta):
-    """Circular CDF anchored at angle zero; F(0) = 0 and F(2*pi) = 1."""
+    """Circular CDF anchored at angle zero; F(0) = 0 and F(2*pi) = 1.
+
+    As in :class:`~kuralim.circle.CdfFn`, ``theta >= TWO_PI`` reads as 2*pi:
+    the float lies 2.45e-16 short of it, and near ``BETA_CAP`` that is 1e-7 of mass.
+    """
     th = np.asarray(theta, dtype=float)
     if np.any((th < -1e-9) | (th > TWO_PI + 1e-9)):
         raise DomainError("oa_cdf argument outside [0, 2*pi]")
     out = th / TWO_PI + (_arctan_term(p, th + p.alpha) - _arctan_term(p, p.alpha)) / np.pi
+    out = np.where(th >= TWO_PI, 1.0, out)
     return out if out.ndim else float(out)
 
 

@@ -35,7 +35,8 @@ class ParticleState:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size == 0:
             raise DomainError("positions must be a nonempty 1-d array")
-        frozen(self, "positions", wrap_angle(pos))
+        with np.errstate(invalid="ignore"):  # inf wraps to NaN, which the integrator refuses
+            frozen(self, "positions", wrap_angle(pos))
 
 
 # Values of phi evaluated at once by the generic mean interaction.
@@ -211,26 +212,6 @@ class TabulatedGradient(InteractionKernel):
         return np.interp(d, self.offsets, self.values)
 
 
-def _simulate_positions(
-    y0: np.ndarray,
-    kernel: InteractionKernel,
-    dt: float,
-    t_end: float,
-    output_every: float | None,
-) -> Trajectory:
-    # One integration path for the finite system and the continuum-limit
-    # solver, so identical inputs give identical bytes: RK4 on the real
-    # lift, then the canonical representatives.
-    return integrate_fixed(
-        kernel.mean_interaction,
-        y0,
-        dt,
-        t_end,
-        record_every=record_stride(dt, output_every),
-        step=lambda rhs, y, h, t: wrap_angle(_rk4.rk4_step(rhs, y, h)),
-    )
-
-
 def ds_simulate(
     state: ParticleState,
     kernel: InteractionKernel,
@@ -243,9 +224,17 @@ def ds_simulate(
     Circle states integrate on the real lift within each step and wrap at
     step boundaries.  ``output_every`` selects the recording interval
     (``None`` records every step); the initial and final states are always
-    recorded.
+    recorded.  The continuum-limit solver runs through this function, so
+    matching initial values give bitwise identical trajectories.
     """
-    return _simulate_positions(state.positions, kernel, dt, t_end, output_every)
+    return integrate_fixed(
+        kernel.mean_interaction,
+        state.positions,
+        dt,
+        t_end,
+        record_every=record_stride(dt, output_every),
+        step=lambda rhs, y, h, t: wrap_angle(_rk4.rk4_step(rhs, y, h)),
+    )
 
 
 def discrete_twisted_state(n: int, m: int, q: float = 0.0) -> ParticleState:

@@ -101,6 +101,11 @@ def test_accumulate_drift_matches_scipy_bitwise(samples):
     assert accumulate_drift(times, flux).tobytes() == expected.tobytes()
 
 
+def test_accumulate_drift_refuses_unequal_lengths():
+    with pytest.raises(DomainError, match="equal length"):
+        accumulate_drift(np.array([0.0, 0.1, 0.2]), np.zeros(2))
+
+
 def test_fallback_quadrature_agrees_with_stored_drift():
     grid = ThetaGrid(128)
     density = oa_cell_averages(OAPoint(0.4, 0.2), grid)

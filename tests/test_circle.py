@@ -227,6 +227,24 @@ def test_value_types_keep_private_readonly_copies(name):
             assert not value.flags.writeable, f"{name}.{field.name} is writeable"
 
 
+MALFORMED = {
+    "measure-empty": (lambda: EmpiricalMeasure(np.array([]), np.array([])), EmptyMeasure),
+    "measure-shapes": (lambda: EmpiricalMeasure(np.array([0.5, 1.5]), np.array([1.0])), DomainError),
+    "measure-2d": (lambda: EmpiricalMeasure(np.full((1, 2), 0.5), np.full((1, 2), 0.5)), DomainError),
+    "cdf-length": (lambda: CdfFn(ThetaGrid(4), np.array([0.0, 0.5, 1.0])), DomainError),
+    "particles-empty": (lambda: ParticleState(np.array([])), DomainError),
+    "particles-2d": (lambda: ParticleState(np.zeros((2, 2))), DomainError),
+    "table-shapes": (lambda: TabulatedGradient(np.array([-1.0, 0.0, 1.0]), np.array([1.0, -1.0])), DomainError),
+    "table-short": (lambda: TabulatedGradient(np.array([0.0]), np.array([1.0])), DomainError),
+}
+
+
+@pytest.mark.parametrize("build, error", MALFORMED.values(), ids=MALFORMED.keys())
+def test_value_types_refuse_malformed_arrays(build, error):
+    with pytest.raises(error):
+        build()
+
+
 def test_circular_density_validation():
     g = ThetaGrid(16)
     CircularDensity(g, np.full(16, 1.0 / TWO_PI))  # uniform is fine

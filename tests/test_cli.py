@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,20 +27,22 @@ from kuralim import (
     OddTrig,
     ParseError,
     TabulatedGradient,
+    ThetaGrid,
     ValidationError,
     cl_simulate,
     ds_simulate,
+    manifold_field,
     mfl_simulate_grid,
     mfl_simulate_spectral,
     mfl_to_cl_circle,
     oa_cdf,
+    oa_cell_averages,
     oa_density,
     oa_flow,
     oa_quantile,
 )
 from kuralim.cli import (
     CSV_CHUNK_VALUES,
-    MAX_OA_ROWS,
     MAX_SIZE,
     _build_initial,
     _oa_flow_times,
@@ -122,7 +125,16 @@ def test_parse_rejects_oa_beta_outside_unit_disc():
     )
     with pytest.raises(ValidationError) as err:
         parse_config(doc)
-    assert "beta in [0, 1)" in str(err.value)
+    assert "beta in [0, 1]" in str(err.value)
+
+
+def test_parse_accepts_oa_beta_one_as_the_flag_does():
+    # the config once took [0, 1) while --beta took [0, 1]; OAPoint clamps both
+    cfg = parse_config("mode: cl\nn_labels: 8\nT: 1\ninitial: {type: oa, alpha: 0.0, beta: 1}\n")
+    assert cfg.initial["beta"] == 1.0
+    assert _build_initial(cfg).values.tobytes() == (
+        manifold_field(LabelGrid(8), OAPoint(0.0, 1.0)).values.tobytes()
+    )
 
 
 def test_parse_mode_and_size_key_coupling():
@@ -402,13 +414,15 @@ def test_oa_arguments_below_their_range_exit_two(tmp_path, capsys, args, message
 
 
 def test_oa_flow_refuses_infinite_output_interval(tmp_path, capsys):
+    # and NaN: step_schedule once refused both as "dt", which oa flow does not have
     out = tmp_path / "flow.csv"
-    args = ["oa", "flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", "inf"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-        assert run_cli(args + ["--output", str(out)]) == 2
-    assert "dt must be positive and finite" in _single_error_line(capsys)
-    assert not out.exists()
+    for every in ("inf", "nan"):
+        args = ["oa", "flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", every]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run_cli(args + ["--output", str(out)]) == 2
+        assert _single_error_line(capsys) == "error: --output-every must be finite"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels")])
@@ -444,7 +458,7 @@ def test_oa_flow_from_a_subnormal_beta_stays_finite(tmp_path, capsys):
 
 
 def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("kuralim.cli.MAX_OA_ROWS", 10)
+    monkeypatch.setattr("kuralim.cli.MAX_SIZE", 10)
     assert len(_oa_flow_times(1.0, 8.0)) == 9
     assert len(_oa_flow_times(1.0, 7.5)) == 9
     with pytest.raises(ValidationError):
@@ -571,10 +585,10 @@ def test_oa_eval_refuses_tables_over_the_row_limit(tmp_path, capsys, monkeypatch
     out = tmp_path / "eval.csv"
     args = ["oa", "eval", "--alpha", "0.3", "--beta", "0.5", "--output", str(out)]
     # refused before any grid is built
-    assert run_cli(args + ["--n", str(MAX_OA_ROWS)]) == 2
+    assert run_cli(args + ["--n", str(MAX_SIZE)]) == 2
     assert "more than 10000000 rows" in _single_error_line(capsys)
     assert not out.exists()
-    monkeypatch.setattr("kuralim.cli.MAX_OA_ROWS", 10)
+    monkeypatch.setattr("kuralim.cli.MAX_SIZE", 10)
     assert run_cli(args + ["--n", "9"]) == 0
     assert len(out.read_text().splitlines()) == 11  # header + 10 rows
     out.unlink()
@@ -618,6 +632,44 @@ def test_oa_eval_near_beta_one_writes_finite_cells(tmp_path, capsys, beta):
     assert capsys.readouterr().err == ""
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (5, 5) and np.all(np.isfinite(rows))
+
+
+def test_oa_eval_last_cdf_cell_reads_one(tmp_path, capsys):
+    # F at the float 2 pi, 2.45e-16 short of 2 pi, was written as 9.9999992203656118e-01
+    out = tmp_path / "eval.csv"
+    assert run_cli(["oa", "eval", "--alpha", "0", "--beta", "1", "--n", "4", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[-1].split(",")[2] == "1.0000000000000000e+00"
+
+
+@pytest.mark.parametrize("beta", ["1", "0.9999999999"])
+@pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels"), ("mfl-grid", "n_cells")])
+def test_oa_initial_up_to_beta_one_runs(tmp_path, capsys, mode, size_key, beta):
+    # beta 1 was refused as outside [0, 1); mfl-grid refused 0.9999999999 with a
+    # cell mass of 0.9999999220365611
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: {mode}\n{size_key}: 64\nT: 0.01\ndt: 0.001\n"
+        f"initial: {{type: oa, alpha: 0.0, beta: {beta}}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+    cells = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)
+    assert cells.shape == (2, 65) and np.all(np.isfinite(cells))
+
+
+@pytest.mark.parametrize("beta", ["1", "0.9999999999"])
+def test_oa_initial_near_beta_one_overruns_the_spectral_modes(tmp_path, capsys, beta):
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: mfl-spectral\nn_modes: 64\nT: 0.01\ndt: 0.001\n"
+        f"initial: {{type: oa, alpha: 0.0, beta: {beta}}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert _single_error_line(capsys).startswith("error: last mode reached |c_N|")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_verify_subcommand_exit_codes(tmp_path, capsys):
@@ -751,6 +803,26 @@ def test_file_initial_length_must_match_size(tmp_path, capsys, mode, size_key, l
     )
     assert run_cli(["simulate", "--config", cfg]) == 2
     assert "error: initial file" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, size_key, line, message",
+    [("ds", "N", "nan", "initial state contains non-finite components"),
+     ("cl", "n_labels", "inf", "initial state contains non-finite components"),
+     ("mfl-grid", "n_cells", "nan", "density values must be finite"),
+     ("mfl-spectral", "n_modes", "nan,0.0", "initial state contains non-finite components")],
+)
+def test_file_initial_holding_a_non_finite_number_exits_two(tmp_path, capsys, mode, size_key, line, message):
+    init = _write(tmp_path, "init.csv", f"{line}\n" * 2)
+    cfg = _write(
+        tmp_path,
+        "run.yaml",
+        f"mode: {mode}\n{size_key}: 2\nT: 0.01\ndt: 0.01\n"
+        f"initial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/out.csv\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert _single_error_line(capsys) == f"error: {message}"
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -1451,8 +1523,8 @@ def _frozen_check_initial(spec, mode, problems) -> dict:
         beta = spec["beta"] = _frozen_finite_number(spec.get("beta"))
         if alpha is None:
             problems.append("oa initial needs a finite alpha")
-        if beta is None or not 0.0 <= beta < 1.0:
-            problems.append("oa initial needs beta in [0, 1)")
+        if beta is None or not 0.0 <= beta <= 1.0:
+            problems.append("oa initial needs beta in [0, 1]")
         if mode.startswith("mfl") and "q" in spec:
             problems.append("oa initial q does not apply to density modes")
     if kind in ("twisted", "oa") and "q" in spec:
@@ -1823,3 +1895,127 @@ def test_simulate_gives_a_csv_or_one_error_line(run):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (doc, lines)
             assert not out.exists()
+
+
+# The transform and oa contract over hand-written argument lists.  Each
+# number is drawn valid, or from the edge and malformed values of
+# FLAG_NUMBERS, or at the limits around FUZZ_ROWS, which stands in for
+# MAX_SIZE.  A density input is drawn well-formed or broken in one of
+# BROKEN_INPUTS' ways.  A run exits 0 with a CSV of finite cells under its
+# command's header (and, for transform, a strict-JSON sidecar), or exits 2
+# with one "error:" line; it never warns, raises or exits 1.
+FUZZ_ROWS = 12
+FLAG_NUMBERS = [
+    "-0", "-1", "1.0000001", "1e-320", "1e300", "-1e300", "1e400", "nan", "-nan",
+    "inf", "-inf", "1e-1", "-2E0", ".5e1", "x", "", "1e-3x", "0x10", "1.5",
+]
+LIMITS = [str(FUZZ_ROWS + k) for k in (-2, -1, 0, 1)]
+BROKEN_INPUTS = ["missing", "empty", "binary", "header-only", "wide-header", "ragged", "text",
+                 "nan", "negative", "unnormalized", "times"]
+OA_HEADERS = {"eval": ["theta", "density", "cdf", "xi", "quantile"], "flow": ["t", "alpha", "beta"]}
+
+
+def _flag(draw, name, valid, edge):
+    """``[name, value]`` or ``[name=value]``, the value drawn from ``valid``
+    or, if ``edge``, from FLAG_NUMBERS."""
+    value = draw(st.sampled_from(FLAG_NUMBERS if edge else valid))
+    return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
+
+def _optional(draw, name, valid, edge):
+    return _flag(draw, name, valid, edge) if draw(st.integers(0, 4)) else []
+
+
+def _density_rows(draw, n_cells, kind):
+    """The text of a density trajectory input of ``n_cells`` cells."""
+    rows = draw(st.integers(1, 4))
+    p = OAPoint(draw(st.sampled_from([0.0, 0.4, -3.0])), draw(st.sampled_from([0.0, 0.3, 0.9])))
+    f = oa_cell_averages(p, ThetaGrid(n_cells)).values if n_cells > 1 else np.array([1 / TWO_PI])
+    header = ["t"] + [f"f_{j}" for j in range(n_cells + (kind == "wide-header"))]
+    cells = [[repr(0.1 * k), *map(repr, f.tolist())] for k in range(rows)]
+    broken = {"text": "oops", "nan": "nan", "negative": "-1.0", "unnormalized": "1e3"}
+    if kind in broken:
+        cells[-1][-1] = broken[kind]
+    if kind == "times":  # the last time before the first
+        cells[-1][0] = "-1.0"
+    if kind == "ragged":
+        cells[-1].pop()
+    if kind == "header-only":
+        cells = []
+    return "".join(",".join(line) + "\n" for line in [header, *cells])
+
+
+@st.composite
+def _transform_and_oa_runs(draw):
+    """An argument list with ``{tmp}`` for its directory, and the files it reads."""
+    command = draw(st.sampled_from(["transform", "eval", "flow"]))
+    edge = draw(st.integers(0, 4))  # the one flag, if any, drawn from FLAG_NUMBERS
+    files = {}
+    if command != "transform":
+        argv = ["oa", command, *_flag(draw, "--alpha", ["0", "0.3", "-2.5", "7"], edge == 0)]
+        argv += _flag(draw, "--beta", ["0", "0.3", "0.9", "0.9999999999", "1"], edge == 1)
+        if command == "eval":
+            argv += _optional(draw, "--n", ["1", "4", *LIMITS], edge == 2)
+        else:
+            argv += _flag(draw, "--t", ["0", "1", "2.5", "1e-9", *LIMITS, str(FUZZ_ROWS - 1.5)], edge == 2)
+            argv += _optional(draw, "--output-every", ["1", "0.25", "0.3"], edge == 3)
+        if not draw(st.integers(0, 9)):  # a required flag missing
+            del argv[2:4]
+        return argv + ["--output", "{tmp}/out.csv"], files
+    n_cells = draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["mfl-grid"] * 5 + ["cl"]))
+    files["run.yaml"] = f"mode: {mode}\n{cli.MODES[mode][0]}: {n_cells}\nT: 0\n"
+    kind = draw(st.sampled_from(["good"] * len(BROKEN_INPUTS) + BROKEN_INPUTS))
+    if kind == "binary":
+        files["in.csv"] = b"\x00\xff\xfe,\x80\n"
+    elif kind == "empty":
+        files["in.csv"] = ""
+    elif kind != "missing":
+        files["in.csv"] = _density_rows(draw, n_cells, kind)
+    argv = ["transform", "--config", "{tmp}/run.yaml", "--input", "{tmp}/in.csv"]
+    argv += _optional(draw, "--n-labels", ["1", "3", *LIMITS], edge == 0)
+    argv += _optional(draw, "--drift-scale", ["1", "0", "-0.5", "1e308"], edge == 1)
+    return argv + ["--output", "{tmp}/out.csv"], files
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(run=_transform_and_oa_runs())
+def test_transform_and_oa_give_a_csv_or_one_error_line(run):
+    template, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            path = Path(tmp) / name
+            path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+        argv = [arg.replace("{tmp}", tmp) for arg in template]
+        out = Path(tmp) / "out.csv"
+        err = io.StringIO()
+        with mock.patch.object(cli, "MAX_SIZE", FUZZ_ROWS), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+        if code != 0:
+            assert code == 2, argv
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            assert not out.exists(), argv
+            return
+        assert err.getvalue() == "", argv
+        header, *lines = out.read_text().splitlines()
+        expected = ["t", "xi", "x"] if argv[0] == "transform" else OA_HEADERS[argv[1]]
+        assert header.split(",") == expected, argv
+        cells = np.array([line.split(",") for line in lines], dtype=float)
+        assert cells.shape == (len(lines), len(expected)) and 1 <= len(lines), argv
+        assert np.all(np.isfinite(cells)), argv
+        if argv[0] == "oa":
+            assert len(lines) <= FUZZ_ROWS, argv
+            return
+        drift = _strict_json((Path(tmp) / "out.drift.json").read_text())
+        assert list(drift) == ["times", "drift"] and len(drift["times"]) == len(drift["drift"])
+        assert len(lines) % len(drift["times"]) == 0 and len(lines) // len(drift["times"]) <= FUZZ_ROWS

@@ -1,8 +1,12 @@
 """Label-indexed continuum dynamics and the invariant-family fields."""
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from kuralim import (
     DomainError,
@@ -10,7 +14,9 @@ from kuralim import (
     LabelField,
     LabelGrid,
     OAPoint,
+    OddTrig,
     ParticleState,
+    TabulatedGradient,
     cl_rhs,
     cl_simulate,
     ds_simulate,
@@ -23,6 +29,7 @@ from kuralim import (
     wrap_label,
 )
 from kuralim._reduce import exact_mean_complex
+from kuralim.cli import run_cli
 
 TWO_PI = 2.0 * np.pi
 
@@ -92,6 +99,65 @@ def test_cl_and_ds_agree_bitwise():
     # produce equal floats
     assert np.array_equal(a.states[-1], b.states[-1])
     assert np.array_equal(np.asarray(a.states), np.asarray(b.states))
+
+
+@st.composite
+def _kernels(draw):
+    """A kernel of each type, and its config mapping."""
+    kind = draw(st.sampled_from(["kuramoto", "odd-trig", "tabulated"]))
+    weight = st.floats(-2.0, 2.0)
+    if kind == "kuramoto":
+        coupling = draw(weight)
+        return KuramotoSin(coupling), {"type": kind, "coupling": coupling}
+    if kind == "odd-trig":
+        coefficients = draw(st.lists(weight, min_size=1, max_size=3))
+        return OddTrig(tuple(coefficients)), {"type": kind, "coefficients": coefficients}
+    values = draw(st.lists(weight, min_size=2, max_size=9))
+    offsets = np.linspace(-np.pi, np.pi, len(values))
+    spec = {"type": kind, "offsets": offsets.tolist(), "values": values, "periodic": True}
+    return TabulatedGradient(offsets, np.array(values), periodic=True), spec
+
+
+@st.composite
+def _drawn_runs(draw):
+    n = draw(st.integers(1, 64))
+    x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    kernel, spec = draw(_kernels())
+    steps = draw(st.integers(1, 5))
+    every = draw(st.sampled_from([None, 0.02]))
+    return x, kernel, spec, steps, every, np.array(draw(st.permutations(range(n))))
+
+
+def _cli_csv(tmp, mode, size_key, x, spec, steps, every):
+    """The bytes of a ``mode`` run's CSV from the angles ``x`` in a file initial."""
+    init = Path(tmp) / "init.csv"
+    init.write_text("".join(f"{v!r}\n" for v in x.tolist()))
+    doc = {"mode": mode, size_key: len(x), "kernel": spec, "dt": 0.01, "T": 0.01 * steps,
+           "initial": {"type": "file", "path": str(init)}, "output": f"{tmp}/{mode}.csv"}
+    if every is not None:
+        doc["output_every"] = every
+    cfg = Path(tmp) / f"{mode}.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 0
+    return Path(doc["output"]).read_bytes()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(run=_drawn_runs())
+def test_drawn_runs_agree_bitwise_and_commute_with_relabeling(run):
+    # the continuum solver on n labels is the finite system at those positions,
+    # and the exact mean makes relabeling commute with the dynamics
+    x, kernel, spec, steps, every, perm = run
+    t_end = 0.01 * steps
+    ds = ds_simulate(ParticleState(x), kernel, 0.01, t_end, every)
+    cl = cl_simulate(LabelField(LabelGrid(len(x)), x), kernel, 0.01, t_end, every)
+    assert cl.times.tobytes() == ds.times.tobytes()
+    assert cl.states.tobytes() == ds.states.tobytes()
+    relabeled = ds_simulate(ParticleState(x[perm]), kernel, 0.01, t_end, every)
+    assert relabeled.states.tobytes() == ds.states[:, perm].tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        ds_csv = _cli_csv(tmp, "ds", "N", x, spec, steps, every)
+        assert ds_csv == _cli_csv(tmp, "cl", "n_labels", x, spec, steps, every)
 
 
 def test_manifold_field_beta_zero_is_single_twist():

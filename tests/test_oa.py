@@ -86,6 +86,25 @@ def test_cdf_endpoints_and_domain():
         oa_cdf(p, 7.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3, -3.0])
+@pytest.mark.parametrize(
+    "beta", [0.99, 1.0 - 1e-6, 0.9999999999, 1.0], ids=["0.99", "1-1e-6", "1-1e-10", "one"]
+)
+def test_cdf_reads_two_pi_as_the_end_of_the_circle(alpha, beta):
+    # the float 2 pi lies 2.45e-16 short of 2 pi, where the density is up to
+    # 3.2e8: F there was 0.99999992203656118 at alpha 0, beta 1
+    p = OAPoint(alpha, beta)
+    assert oa_cdf(p, TWO_PI) == 1.0
+    assert oa_cdf(p, np.array([0.0, TWO_PI, TWO_PI + 1e-10])).tolist() == [0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("beta", [1.0 - 2e-9, 0.9999999999, 1.0], ids=["1-2e-9", "1-1e-10", "one"])
+def test_cell_averages_of_a_near_synchronized_point_have_unit_mass(beta):
+    # the cell masses once summed to 0.99999992 and CircularDensity refused them
+    f = oa_cell_averages(OAPoint(0.0, beta), ThetaGrid(64))
+    assert abs(np.sum(f.values) * f.grid.spacing - 1.0) < 1e-12
+
+
 def test_cdf_derivative_is_density():
     p = OAPoint(1.0, 0.7)
     h = 1e-6

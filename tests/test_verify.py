@@ -15,7 +15,9 @@ from kuralim import (
     NEGATIVE_CONTROLS,
     SUITES,
     DomainError,
+    OAPoint,
     VerificationReport,
+    oa_flow,
     run_suite,
     verify_bridge,
     verify_mean_interaction,
@@ -109,6 +111,22 @@ def test_sync_limit_probes():
     assert set(r.extras["sups"]) == {"0.99", "0.999", "0.9999"}
     weak = verify_sync_limit(beta_probes=(0.9,), n_labels=256)
     assert not weak.passed
+
+
+def test_sync_limit_penalizes_probes_that_do_not_approach_the_limit():
+    # equal probes give equal distances: not decreasing, so one unit is added
+    r = verify_sync_limit(beta_probes=(0.99, 0.99), n_labels=256)
+    assert r.max_residual == 1.0 + r.extras["sups"]["0.99"]
+    assert r.passed is False
+
+
+def test_closure_stops_checking_past_a_synchrony_of_point_nine():
+    # |c_1| passes 0.9 near t = 6.04; the records after it do not count
+    assert oa_flow(OAPoint(0.0, 0.1), 6.2).beta > 0.9
+    short = verify_oa_closure(t_end=6.2, dt=1e-2)
+    long = verify_oa_closure(t_end=7.0, dt=1e-2)
+    assert long.passed and long.max_residual == short.max_residual
+    assert long.extras == short.extras
 
 
 def test_run_suite_dispatch():
@@ -223,6 +241,11 @@ def test_spectrum_refuses_a_non_integer_n_cells(n_cells):
 def test_closure_refuses_more_checked_modes_than_modes():
     with pytest.raises(DomainError, match="max_check"):
         verify_oa_closure(t_end=0.2, n_modes=8, max_check=20)
+
+
+def test_sync_limit_refuses_no_beta_probes():
+    with pytest.raises(DomainError, match="beta probe"):
+        verify_sync_limit(n_labels=64, beta_probes=())
 
 
 def test_sync_limit_refuses_an_empty_q_pair():
