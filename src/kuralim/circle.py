@@ -202,6 +202,8 @@ class EmpiricalMeasure:
             raise DomainError("positions and weights must be matching 1-d arrays")
         if self.space not in ("circle", "line"):
             raise DomainError(f"unknown space {self.space!r}")
+        if not np.all(np.isfinite(pos)):
+            raise DomainError("atom positions must be finite")
         if np.any(w < 0):
             raise DomainError("weights must be nonnegative")
         total = float(w.sum())

@@ -479,15 +479,15 @@ def _oa_flow_times(every: float, t_end: float) -> np.ndarray:
     Raises :class:`ValidationError` when that would be more than
     :data:`MAX_SIZE` rows.
     """
-    if t_end < 0:
-        raise ValidationError("--t must be nonnegative")
+    if not 0 <= t_end < np.inf:
+        raise ValidationError("--t must be finite and nonnegative")
     if every <= 0:
         raise ValidationError("--output-every must be positive")
     if not every < np.inf:
         raise ValidationError("--output-every must be finite")
     # At most t_end / every + 2 rows, a tighter limit than step_schedule's
-    # own MAX_STEPS.  A non-finite t_end is left to step_schedule.
-    if t_end < np.inf and t_end / every > MAX_SIZE - 2:
+    # own MAX_STEPS.
+    if t_end / every > MAX_SIZE - 2:
         raise ValidationError(f"--t / --output-every would record more than {MAX_SIZE} rows")
     n_full, remainder = step_schedule(every, t_end)
     times = np.arange(n_full + 1) * every

@@ -185,8 +185,8 @@ def mfl_simulate_grid(
     (``TabulatedGradient``, ``OddTrig``) that keeps the n x n matrix of
     ``phi`` at interfaces against centers for the whole run: n^2 doubles,
     2 MB at 512 cells, up to :data:`~kuralim.particles.CACHE_VALUES`
-    (32 MB, 2048 cells).  Finer grids evaluate ``phi`` node by node on
-    every step, with the same bytes.  The forward Euler steps run through
+    (32 MB, 2048 cells).  Finer grids evaluate ``phi`` again in row blocks
+    on every step, with the same bytes.  The forward Euler steps run through
     :func:`integrate_fixed`.  Every step checks the CFL number against
     :data:`CFL_LIMIT` and raises :class:`CflViolation` when the step size
     is too large for the current velocity field.  The

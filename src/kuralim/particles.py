@@ -39,12 +39,12 @@ class ParticleState:
             frozen(self, "positions", wrap_angle(pos))
 
 
-# Values of phi evaluated at once by the generic mean interaction.
-BLOCK_VALUES = 1 << 16
+# Values of phi evaluated at once by the generic reductions: one row block.
+BLOCK_VALUES = 1 << 14
 
 # Largest theta x nodes matrix of phi values that the generic velocity_field
 # keeps for the life of the callable it returns (2^22 doubles, 32 MB).
-# Larger node sets evaluate phi node by node on every call instead, which
+# Larger node sets evaluate phi again, block by block, on every call, which
 # gives the same bytes.
 CACHE_VALUES = 1 << 22
 
@@ -71,52 +71,50 @@ class InteractionKernel:
     """Pairwise interaction ``phi(x, y)`` plus the reductions built on it.
 
     Subclasses override :meth:`phi`, which broadcasts over array
-    arguments.  The generic reductions here are O(N^2): the mean
-    interaction is exact, and the transport velocity is one dot product
-    per node.  ``KuramotoSin`` replaces both with O(N) order-parameter
-    forms and ``OddTrig`` replaces the mean interaction only (identical
-    real-arithmetic identities, so they agree to rounding).
+    arguments.  The generic reductions here are O(N^2) and take ``phi`` in
+    row blocks of at most :data:`BLOCK_VALUES` values: the mean
+    interaction sums each row exactly, and the transport velocity takes a
+    dot product per row.  ``KuramotoSin`` replaces both with O(N)
+    order-parameter forms and ``OddTrig`` replaces the mean interaction
+    only (identical real-arithmetic identities, so they agree to rounding).
     """
 
     def phi(self, x, y):
         raise NotImplementedError
 
+    def _phi_blocks(self, theta: np.ndarray, nodes: np.ndarray):
+        """``phi`` at ``theta`` against ``nodes``, as consecutive blocks of rows."""
+        step = max(1, BLOCK_VALUES // len(nodes))
+        for start in range(0, len(theta), step):
+            yield self.phi(theta[start:start + step, None], nodes)
+
     def mean_interaction(self, positions: np.ndarray) -> np.ndarray:
         """Componentwise ``(1/N) sum_j phi(x_i, x_j)``, self term included."""
-        n = len(positions)
-        out = np.empty_like(positions)
-        step = max(1, BLOCK_VALUES // n)
-        for start in range(0, n, step):
-            x = positions[start:start + step, None]
-            out[start:start + step] = exact_row_sums(self.phi(x, positions)) / n
-        return out
-
-    def circle_velocity(self, theta: np.ndarray, nodes: np.ndarray, masses: np.ndarray):
-        """Transport velocity ``sum_k phi(t, y_k) m_k`` at each angle ``t`` of ``theta``."""
-        return np.array([np.dot(self.phi(t, nodes), masses) for t in theta])
+        sums = [exact_row_sums(rows) for rows in self._phi_blocks(positions, positions)]
+        return np.concatenate(sums) / len(positions)
 
     def velocity_field(self, theta: np.ndarray, nodes: np.ndarray):
-        """``masses -> circle_velocity(theta, nodes, masses)`` for fixed nodes.
+        """``masses -> sum_k phi(t, y_k) m_k`` at each angle ``t`` of the 1-d ``theta``.
 
-        ``phi`` at the 1-d ``theta`` against ``nodes`` does not depend on
-        the masses, so the returned callable evaluates it once, as a stack
-        of ``(1, n)`` rows, and multiplies it by the ``(n, 1)`` masses in one
-        ``np.matmul``.  numpy takes each row with the dot kernel of ``np.dot``,
-        so the bytes are those of :meth:`circle_velocity` (``rows @ masses``
-        goes to gemv and changes last bits).  Above :data:`CACHE_VALUES`
-        matrix entries it calls :meth:`circle_velocity` instead.
+        Each block of ``phi`` rows meets the masses as a ``(rows, 1, k) @
+        (k, 1)`` ``np.matmul``, which takes each row with the dot kernel of
+        ``np.dot`` (``rows @ masses`` goes to gemv and changes last bits).
+        ``phi`` does not depend on the masses: up to :data:`CACHE_VALUES`
+        entries the callable keeps its blocks as one matrix, and above that
+        it evaluates them on every call.
         """
-        if np.size(theta) * np.size(nodes) > CACHE_VALUES:
-            return lambda masses: self.circle_velocity(theta, nodes, masses)
-        rows = self.phi(np.asarray(theta, dtype=float)[:, None], nodes[None, :])
-        stack = rows[:, None, :]
+        theta = np.asarray(theta, dtype=float)
+        cached = theta.size * len(nodes) <= CACHE_VALUES
+        if cached:
+            matrix = np.concatenate(list(self._phi_blocks(theta, nodes)))
 
         def field(masses):
             m = np.asarray(masses, dtype=float)
-            if rows.shape[1] == 1:  # np.dot multiplies one-element vectors: -0.0 stays
-                return m.item() * rows[:, 0]
-            # np.dot copies masses of stride <= 0 before its dot kernel
-            return np.matmul(stack, (m if m.strides[0] > 0 else m.copy())[:, None])[:, 0, 0]
+            m = (m if m.strides[0] > 0 else m.copy())[:, None]  # np.dot copies masses of stride <= 0
+            blocks = (matrix,) if cached else self._phi_blocks(theta, nodes)
+            if len(nodes) == 1:  # np.dot multiplies one-element vectors: -0.0 stays
+                return np.concatenate([m.item() * rows[:, 0] for rows in blocks])
+            return np.concatenate([np.matmul(rows[:, None, :], m)[:, 0, 0] for rows in blocks])
 
         return field
 
@@ -136,13 +134,14 @@ class KuramotoSin(InteractionKernel):
     def mean_interaction(self, positions: np.ndarray) -> np.ndarray:
         return self.coupling * _sine_mean(positions, 1)
 
-    def circle_velocity(self, theta, nodes, masses):
-        z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
-        return self.coupling * (z * np.exp(-1j * theta)).imag
-
     def velocity_field(self, theta, nodes):
         # O(N) per call from the order parameter; no matrix to keep.
-        return lambda masses: self.circle_velocity(theta, nodes, masses)
+        cos, sin, turn = np.cos(nodes), np.sin(nodes), np.exp(-1j * theta)
+
+        def field(masses):
+            return self.coupling * (complex(np.dot(masses, cos), np.dot(masses, sin)) * turn).imag
+
+        return field
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,9 @@ def test_fallback_quadrature_agrees_with_stored_drift():
 
 
 def _frozen_anchor_flux(traj, kernel):
-    """The anchor flux as it was: the scalar velocity at angle 0 from
-    ``circle_velocity``, one ``phi`` per recorded time."""
+    """The anchor flux as it was: the scalar velocity at angle 0, from the
+    order parameter for ``KuramotoSin`` and otherwise from one ``phi`` row
+    and one ``np.dot`` per recorded time."""
     grid = traj.grid
     centers = grid.nodes + 0.5 * grid.spacing
     flux = np.empty(len(traj))

@@ -231,6 +231,8 @@ MALFORMED = {
     "measure-empty": (lambda: EmpiricalMeasure(np.array([]), np.array([])), EmptyMeasure),
     "measure-shapes": (lambda: EmpiricalMeasure(np.array([0.5, 1.5]), np.array([1.0])), DomainError),
     "measure-2d": (lambda: EmpiricalMeasure(np.full((1, 2), 0.5), np.full((1, 2), 0.5)), DomainError),
+    "measure-inf": (lambda: EmpiricalMeasure(np.array([np.inf, 1.0]), np.full(2, 0.5)), DomainError),
+    "measure-nan-line": (lambda: EmpiricalMeasure(np.array([np.nan, 1.0]), np.full(2, 0.5), "line"), DomainError),
     "cdf-length": (lambda: CdfFn(ThetaGrid(4), np.array([0.0, 0.5, 1.0])), DomainError),
     "particles-empty": (lambda: ParticleState(np.array([])), DomainError),
     "particles-2d": (lambda: ParticleState(np.zeros((2, 2))), DomainError),

@@ -364,7 +364,7 @@ def test_oa_flow_recording_times(tmp_path, t_end, times):
 def test_oa_flow_rejects_non_finite_time(tmp_path, capsys, t_end):
     out = tmp_path / "flow.csv"
     assert run_cli(["oa", "flow", "--alpha", "0.3", "--beta", "0.1", "--t", t_end, "--output", str(out)]) == 2
-    assert "error: final time must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --t must be finite and nonnegative\n"
     assert not out.exists()
 
 
@@ -397,7 +397,7 @@ def test_simulate_refuses_schedules_past_max_steps(tmp_path, capsys, dt, t_end):
 
 
 OA_BELOW_RANGE = {
-    "flow-t": (["flow", "--t", "-1"], "--t must be nonnegative"),
+    "flow-t": (["flow", "--t", "-1"], "--t must be finite and nonnegative"),
     "flow-every": (["flow", "--t", "1", "--output-every", "0"], "--output-every must be positive"),
     "eval-n": (["eval", "--n", "0"], "--n must be at least 1"),
 }

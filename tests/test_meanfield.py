@@ -263,6 +263,16 @@ def test_linearized_operator_validation():
     assert abs(ev[0] - 0.5) < 1e-12 and abs(ev[1] - 0.5) < 1e-12
 
 
+def _frozen_circle_velocity(kernel, theta, nodes, masses):
+    """The transport velocity as ``circle_velocity`` gave it before
+    ``velocity_field`` was the only velocity method: the order parameter for
+    ``KuramotoSin``, otherwise one ``phi`` and one ``np.dot`` per angle."""
+    if isinstance(kernel, KuramotoSin):
+        z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
+        return kernel.coupling * (z * np.exp(-1j * theta)).imag
+    return np.array([np.dot(kernel.phi(t, nodes), masses) for t in theta])
+
+
 def _frozen_grid_loop(initial, kernel, dt, t_end, output_every=None):
     """The grid solver's own step loop as it stood before the solver moved
     onto integrate_fixed (record_stride and CFL_LIMIT inlined), frozen as
@@ -289,7 +299,7 @@ def _frozen_grid_loop(initial, kernel, dt, t_end, output_every=None):
         h = dt if step <= n_full else remainder
         t = step * dt if step <= n_full else t_end
 
-        v = kernel.circle_velocity(interfaces, centers, f * dtheta)
+        v = _frozen_circle_velocity(kernel, interfaces, centers, f * dtheta)
         vmax = float(np.max(np.abs(v)))
         if vmax * h > 0.5 * dtheta:
             raise CflViolation(
@@ -345,9 +355,9 @@ def test_grid_solver_same_bytes_past_the_velocity_cache_limit(monkeypatch, kerne
     initial = oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(64))
     cached = mfl_simulate_grid(initial, kernel, 0.01, 0.47, output_every=0.04)
     monkeypatch.setattr(particles, "CACHE_VALUES", 64 * 64 - 1)
-    per_node = mfl_simulate_grid(initial, kernel, 0.01, 0.47, output_every=0.04)
-    assert per_node.values.tobytes() == cached.values.tobytes()
-    assert per_node.drift.tobytes() == cached.drift.tobytes()
+    blocks = mfl_simulate_grid(initial, kernel, 0.01, 0.47, output_every=0.04)
+    assert blocks.values.tobytes() == cached.values.tobytes()
+    assert blocks.drift.tobytes() == cached.drift.tobytes()
 
 
 def test_grid_rejects_zero_dt():

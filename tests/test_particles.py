@@ -242,6 +242,24 @@ def test_generic_mean_interaction_matches_row_loop_bitwise(n, periodic):
     assert np.array_equal(got.view(np.int64), _frozen_mean_interaction(tab, x).view(np.int64))
 
 
+_TABLE = np.linspace(-np.pi, np.pi, 65)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1))],
+    ids=["tabulated", "odd-trig"],
+)
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 513, 1024])
+def test_generic_mean_interaction_bytes_do_not_depend_on_the_block_size(monkeypatch, kernel, n):
+    # 2^14 and 2^16 values a block, and one row a block (BLOCK_VALUES = 1)
+    x = np.random.default_rng(n).uniform(-1.0, TWO_PI + 1.0, n)
+    expected = _frozen_mean_interaction(kernel, x).tobytes()
+    for block in (1 << 14, 1 << 16, 1):
+        monkeypatch.setattr(particles, "BLOCK_VALUES", block)
+        assert InteractionKernel.mean_interaction(kernel, x).tobytes() == expected, block
+
+
 def _frozen_fast_mean_interaction(kernel, positions):
     """``KuramotoSin`` and ``OddTrig`` mean interactions as they were, with
     a new array for each ``r * conj(z)``."""
@@ -361,8 +379,6 @@ def test_twisted_states_are_equilibria():
         assert np.max(np.abs(KuramotoSin().mean_interaction(s.positions))) < 1e-15
 
 
-_TABLE = np.linspace(-np.pi, np.pi, 65)
-
 
 @pytest.mark.parametrize(
     "kernel",
@@ -372,7 +388,8 @@ _TABLE = np.linspace(-np.pi, np.pi, 65)
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "per-node"])
 def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, cached):
-    # Both sides of the cache limit: the matrix has n * n entries.
+    # Both sides of the cache limit: the matrix has n * n entries.  The
+    # uncached side evaluates phi in blocks of BLOCK_VALUES // n rows.
     monkeypatch.setattr(particles, "CACHE_VALUES", n * n if cached else n * n - 1)
     calls = []
     phi = type(kernel).phi
@@ -385,17 +402,29 @@ def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, 
     interfaces = np.arange(n) * (TWO_PI / n)
     centers = interfaces + 0.5 * (TWO_PI / n)
     generic = not isinstance(kernel, KuramotoSin)
+    rows = particles.BLOCK_VALUES // n
+    blocks = [(min(rows, n - start), 1) for start in range(0, n, rows)] if generic else []
     field = kernel.velocity_field(interfaces, centers)
-    # one matrix on the cached side; KuramotoSin builds none
-    assert calls == ([(n, 1)] if generic and cached else [])
+    # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
+    assert calls == (blocks if cached else [])
     rng = np.random.default_rng(n)
     for _ in range(5):
         masses = rng.random(n) / n
-        expected = kernel.circle_velocity(interfaces, centers, masses)
+        expected = _frozen_circle_velocity(kernel, interfaces, centers, masses)
         calls.clear()
         assert np.array_equal(field(masses), expected)
-        # the matrix is reused; the fallback evaluates phi once per node
-        assert len(calls) == (n if generic and not cached else 0)
+        # the matrix is reused; above the limit the blocks come again
+        assert calls == ([] if cached else blocks)
+
+
+def _frozen_circle_velocity(kernel, theta, nodes, masses):
+    """The transport velocity as ``circle_velocity`` gave it before
+    ``velocity_field`` was the only velocity method: the order parameter for
+    ``KuramotoSin``, otherwise one ``phi`` and one ``np.dot`` per angle."""
+    if isinstance(kernel, KuramotoSin):
+        z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
+        return kernel.coupling * (z * np.exp(-1j * theta)).imag
+    return np.array([np.dot(kernel.phi(t, nodes), masses) for t in theta])
 
 
 def _frozen_velocity_field(kernel, theta, nodes):
@@ -430,16 +459,18 @@ def _mass_variants(n):
 )
 @pytest.mark.parametrize("n", [1, 64, 512, 513])
 @pytest.mark.parametrize("anchor", [False, True], ids=["grid", "anchor"])
-def test_velocity_field_matches_frozen_dot_loop_bytes(kernel, n, anchor):
+def test_velocity_field_matches_frozen_dot_loop_bytes(monkeypatch, kernel, n, anchor):
     # The grid solver asks for n interfaces against n centers; the bridge's
     # anchor flux asks for the single point 0 against n centers.
     interfaces = np.arange(n) * (TWO_PI / n)
     centers = interfaces + 0.5 * (TWO_PI / n)
     theta = np.zeros(1) if anchor else interfaces
-    field = kernel.velocity_field(theta, centers)
     frozen = _frozen_velocity_field(kernel, theta, centers)
-    for name, masses in _mass_variants(n).items():
-        assert field(masses).tobytes() == frozen(masses).tobytes(), name
+    for limit in (theta.size * n, theta.size * n - 1):  # kept matrix, then blocks on every call
+        monkeypatch.setattr(particles, "CACHE_VALUES", limit)
+        field = kernel.velocity_field(theta, centers)
+        for name, masses in _mass_variants(n).items():
+            assert field(masses).tobytes() == frozen(masses).tobytes(), (limit, name)
 
 
 FAST_KERNELS = [KuramotoSin(1.0), KuramotoSin(1.7), KuramotoSin(-0.3), OddTrig((1.0, -0.5)),
@@ -457,5 +488,5 @@ def test_fast_kernel_forms_match_the_generic_reductions_of_their_own_phi(kernel)
         assert np.max(np.abs(kernel.mean_interaction(x) - generic)) < 1e-14, n
         interfaces = np.arange(n) * (TWO_PI / n)
         masses = rng.random(n) / n
-        generic = InteractionKernel.circle_velocity(kernel, interfaces, x, masses)
-        assert np.max(np.abs(kernel.circle_velocity(interfaces, x, masses) - generic)) < 1e-14, n
+        generic = InteractionKernel.velocity_field(kernel, interfaces, x)(masses)
+        assert np.max(np.abs(kernel.velocity_field(interfaces, x)(masses) - generic)) < 1e-14, n
