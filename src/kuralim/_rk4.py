@@ -57,7 +57,7 @@ def step_schedule(dt: float, t_end: float) -> tuple[int, float]:
         raise DomainError(f"dt must be positive and finite, got {dt}")
     if not 0.0 <= t_end < np.inf:
         raise DomainError(f"final time must be finite and nonnegative, got {t_end}")
-    if not t_end / dt <= MAX_STEPS:
+    if not float(t_end) / float(dt) <= MAX_STEPS:  # a float quotient overflows without a warning
         raise DomainError(f"final time {t_end} / dt {dt} is more than {MAX_STEPS} steps")
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
@@ -122,12 +122,13 @@ def record_stride(dt: float, output_every: float | None) -> int:
     ``output_every / dt`` is rounded to the nearest whole number of steps
     (ties to even, at least 1): 0.015 with ``dt = 0.01`` records every 0.02.
     A stride past :data:`MAX_STEPS` is cut to ``MAX_STEPS + 1``, which like
-    any longer one records only the first and last states.
+    any longer one records only the first and last states.  Raises
+    :class:`DomainError` for an ``output_every`` that is not positive and,
+    by :func:`step_schedule`'s rule, for a ``dt`` that is not positive and finite.
     """
     if output_every is None:
         return 1
     if not output_every > 0:
         raise DomainError(f"output_every must be positive, got {output_every}")
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    return max(1, int(round(min(output_every / dt, MAX_STEPS + 1))))
+    step_schedule(dt, 0.0)  # for its step-size rule only
+    return max(1, int(round(min(float(output_every) / float(dt), MAX_STEPS + 1))))

@@ -301,6 +301,6 @@ def empirical_quantile(m: EmpiricalMeasure, xi):
     cum = np.cumsum(m.weights[order])
     cum = cum / cum[-1]
     idx = np.minimum(np.searchsorted(cum, x, side="left"), len(pos) - 1)
-    out = pos[idx]
+    out = np.where(np.isnan(x), np.nan, pos[idx])
     return out if out.ndim else float(out)
 

@@ -80,7 +80,9 @@ def manifold_field(grid: LabelGrid, point: OAPoint, q: float = 0.0) -> LabelFiel
     fields of different ``q`` are rearrangements with the same law and the
     ``q`` dependence vanishes from every density-level statement.  At
     ``beta = 0`` this degenerates to the winding-one profile
-    ``twisted_field(grid, 1, q)``.
+    ``twisted_field(grid, 1, q)``.  A non-finite ``q`` is refused.
     """
+    if not np.isfinite(q):
+        raise DomainError(f"q must be finite, got {q!r}")
     w = wrap_label(grid.midpoints + oa_shift(point) + q / TWO_PI)
     return LabelField(grid, oa_quantile(point, w))

@@ -161,7 +161,8 @@ def verify_mean_interaction(
             moment = exact_mean_complex(np.exp(1j * config))
             theta = oa_quantile(p, xis)
             quadrature = (moment * np.exp(-1j * theta)).imag
-            closed = -rhs_scale * p.beta * np.sin(p.alpha + theta)
+            with np.errstate(invalid="ignore"):  # inf * sin 0 is NaN, which fails the report
+                closed = -rhs_scale * p.beta * np.sin(p.alpha + theta)
             worst = np.maximum(worst, np.max(np.abs(quadrature - closed)))
     return worst, {}
 
@@ -248,12 +249,14 @@ def verify_oa_closure(
     closed-form flow of ``|a0|``.  ``off_manifold`` replaces ``c_2`` to
     start off the family; nonzero values are the sensitivity control.
     """
-    if abs(a0) > 0.3:
+    if not abs(a0) <= 0.3:  # a NaN a0 is refused too
         raise DomainError("closure check expects |a0| <= 0.3")
     if not (is_size(max_check, 1) and is_size(n_modes, max_check)):
         raise DomainError(
             f"max_check must be an integer in [1, n_modes = {n_modes!r}], got {max_check!r}"
         )
+    if off_manifold and n_modes < 2:
+        raise DomainError(f"an off-manifold start needs n_modes >= 2, got {n_modes!r}")
     modes0 = np.asarray(a0, dtype=complex) ** np.arange(1, n_modes + 1)
     if off_manifold:
         modes0[1] = off_manifold
@@ -338,6 +341,8 @@ def verify_sync_limit(
     if len(q_pair) < 2:
         raise DomainError("need at least two q values to compare the limits")
     probes = tuple(sorted(float(b) for b in beta_probes))
+    headline_beta = 0.999 if 0.999 in probes else probes[-1]
+    p_head = OAPoint(alpha, headline_beta)  # checks alpha before the wrap below uses it
     grid = LabelGrid(n_labels)
     q0 = float(q_pair[0])
     target = wrap_angle(TWO_PI - alpha)
@@ -355,7 +360,6 @@ def verify_sync_limit(
             raise DomainError("the exclusion window keeps no label")
         sups.append(float(np.max(circle_distance(config.values[keep], target))))
 
-    headline_beta = 0.999 if 0.999 in probes else probes[-1]
     residual = sups[probes.index(headline_beta)]
     monotone = all(b > a for a, b in zip(sups[1:], sups[:-1]))
     if not monotone:
@@ -363,12 +367,13 @@ def verify_sync_limit(
 
     # Exact limit through the field formula: the label mapped to the
     # branch antipode evaluates to 2 pi - alpha for every beta and q.
-    p_head = OAPoint(alpha, headline_beta)
+    # A non-finite later q gives a NaN limit, which fails below.
     branch_w = oa_cdf(p_head, wrap_angle(np.pi - p_head.alpha))
     limits = []
     for q in q_pair:
-        xi_q = wrap_label(branch_w + 0.5 - oa_shift(p_head) - float(q) / TWO_PI)
-        w = wrap_label(xi_q + oa_shift(p_head) + float(q) / TWO_PI)
+        with np.errstate(invalid="ignore"):
+            xi_q = wrap_label(branch_w + 0.5 - oa_shift(p_head) - float(q) / TWO_PI)
+            w = wrap_label(xi_q + oa_shift(p_head) + float(q) / TWO_PI)
         limits.append(wrap_angle(float(oa_quantile(p_head, w))))
     q_deviation = float(np.max(circle_distance(np.array(limits[:-1]), np.array(limits[1:]))))
     if not q_deviation <= 1e-10:  # a NaN deviation fails too

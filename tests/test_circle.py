@@ -407,6 +407,16 @@ def test_empirical_quantile_sorts_atoms():
     assert np.array_equal(out, [1.0, 2.0, 3.0])
 
 
+def test_empirical_quantile_maps_a_nan_label_to_nan():
+    # as QuantileFn and oa_quantile do; it returned the last atom
+    m = EmpiricalMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+    assert np.isnan(empirical_quantile(m, np.nan))
+    out = empirical_quantile(m, np.array([0.25, np.nan, 1.0]))
+    assert out[0] == 1.0 and np.isnan(out[1]) and out[2] == 2.0
+    cdf = cdf_from_density(CircularDensity(ThetaGrid(4), np.full(4, 1.0 / (2.0 * np.pi))))
+    assert np.isnan(QuantileFn(cdf)(np.nan))
+
+
 def test_cdf_fn_validation():
     g = ThetaGrid(4)
     with pytest.raises(DomainError):

@@ -189,6 +189,13 @@ def test_manifold_field_q_rotates_labels():
     assert np.max(np.abs(np.sort(base.values) - np.sort(shifted.values))) < TWO_PI / 64 * 10
 
 
+@pytest.mark.parametrize("q", [np.inf, -np.inf, np.nan])
+def test_manifold_field_refuses_a_non_finite_q(q):
+    # inf warned in wrap_label and nan gave a field of NaN values
+    with pytest.raises(DomainError, match="q must be finite"):
+        manifold_field(LabelGrid(8), OAPoint(0.3, 0.2), q)
+
+
 def test_manifold_family_is_invariant_short_run():
     # evolving the field for a short time lands on the field of the
     # flowed family member

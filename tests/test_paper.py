@@ -1,14 +1,22 @@
 """The paper's result: the unstable manifold of the continuum limit's flat
-state is tangent to the Ott-Antonsen family at ``beta = 0``."""
+state is tangent to the Ott-Antonsen family at ``beta = 0``, and the family
+is invariant under the label dynamics and the spectral mean-field dynamics
+at every drawn point, not only at the verify suites' fixed ones."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kuralim import (
+    FourierDensity,
+    KuramotoSin,
     LabelGrid,
     OAPoint,
+    circle_distance,
+    cl_simulate,
     linearized_operator,
     linearized_spectrum,
     manifold_field,
+    mfl_simulate_spectral,
     oa_flow,
     wrap_pm_pi,
 )
@@ -42,3 +50,33 @@ def test_manifold_tangent_lies_in_the_unstable_plane(alpha, q, eps):
     outside = tangent - plane @ coeffs
     assert abs(np.sqrt(np.mean(tangent**2)) - np.sqrt(2.0)) < 1e-2
     assert np.sqrt(np.mean(outside**2)) <= eps
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(
+    alpha=st.floats(-np.pi, np.pi, exclude_max=True),
+    beta0=st.floats(0.02, 0.6),
+    q=st.floats(-3.0, 3.0),
+)
+def test_label_dynamics_keep_the_family_at_drawn_points(alpha, beta0, q):
+    # 128 labels leave a label-quadrature error near 1e-8, well under the bound
+    grid = LabelGrid(128)
+    p0 = OAPoint(alpha, beta0)
+    traj = cl_simulate(manifold_field(grid, p0, q), KuramotoSin(), 0.01, 2.0, output_every=0.5)
+    assert len(traj) == 5
+    for t, state in zip(traj.times, traj.states):
+        reference = manifold_field(grid, oa_flow(p0, float(t)), q).values
+        assert np.max(circle_distance(state, reference)) <= 1e-6, t
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(radius=st.floats(0.01, 0.3), phase=st.floats(-np.pi, np.pi))
+def test_spectral_dynamics_keep_geometric_modes_at_drawn_points(radius, phase):
+    a0 = radius * np.exp(1j * phase)
+    traj = mfl_simulate_spectral(FourierDensity(a0 ** np.arange(1, 33)), 0.01, 2.0)
+    powers = np.arange(1, 9)
+    for modes in traj.states:
+        c1 = modes[0]
+        if abs(c1) > 0.9:
+            break
+        assert np.max(np.abs(modes[:8] - c1**powers)) < 1e-9

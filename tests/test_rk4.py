@@ -21,14 +21,18 @@ from kuralim import (
     ParticleState,
     TabulatedGradient,
     TailBlowup,
+    ThetaGrid,
     cl_simulate,
     ds_simulate,
+    mfl_simulate_grid,
     mfl_simulate_spectral,
+    oa_cell_averages,
     spectral_rhs,
     wrap_angle,
 )
 from kuralim._rk4 import Trajectory, integrate_fixed, record_stride, rk4_step, step_schedule
 from kuralim.meanfield import TAIL_LIMIT
+from kuralim.verify import verify_bridge, verify_manifold_invariance, verify_oa_closure
 
 TWO_PI = 2.0 * np.pi
 
@@ -222,3 +226,47 @@ def test_ds_simulate_reads_an_overflowing_interaction_sum_as_non_finite(n, kerne
     state = ParticleState(np.linspace(0.0, 6.0, n))
     with pytest.raises(NonFinite, match=r"^non-finite state at step 1 \(t = 0.01\)$"):
         ds_simulate(state, kernel, 0.01, 0.01)
+
+
+@pytest.mark.parametrize(
+    "dt, output_every", [(0.0, 0.1), (-1.0, 0.1), (np.inf, np.inf), (np.nan, 0.1)]
+)
+def test_record_stride_states_the_step_schedule_rule(dt, output_every):
+    with pytest.raises(DomainError, match=r"^dt must be positive and finite, got"):
+        record_stride(dt, output_every)
+
+
+INF_STEP_RUNS = {
+    "ds": lambda: ds_simulate(ParticleState(np.zeros(3)), KuramotoSin(), np.inf, 1.0, np.inf),
+    "cl": lambda: cl_simulate(
+        LabelField(LabelGrid(4), np.zeros(4)), KuramotoSin(), np.inf, 1.0, np.inf
+    ),
+    "mfl-spectral": lambda: mfl_simulate_spectral(
+        FourierDensity(np.array([0.1, 0.01])), np.inf, 1.0, np.inf
+    ),
+    "mfl-grid": lambda: mfl_simulate_grid(
+        oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(8)), KuramotoSin(), np.inf, 1.0, np.inf
+    ),
+    "verify-bridge": lambda: verify_bridge(dt=np.inf, n_cells=8, n_labels=8),
+    "verify-closure": lambda: verify_oa_closure(dt=np.inf, output_every=np.inf, n_modes=8),
+    "verify-invariance": lambda: verify_manifold_invariance(
+        dt=np.inf, output_every=np.inf, n_labels=8
+    ),
+}
+
+
+@pytest.mark.parametrize("run", INF_STEP_RUNS.values(), ids=INF_STEP_RUNS.keys())
+def test_infinite_step_and_output_interval_are_refused(run):
+    # record_stride's own dt > 0 let these reach int(round(nan)), a ValueError
+    with pytest.raises(DomainError, match=r"^dt must be positive and finite, got inf$"):
+        run()
+
+
+def test_numpy_float_arguments_past_the_float_range_give_no_warning():
+    # numpy scalars warned where the quotient overflowed; Python floats give inf
+    assert record_stride(np.float64(1e-3), np.float64(1e308)) == record_stride(1e-3, 1e308)
+    with pytest.raises(DomainError, match="steps"):
+        step_schedule(np.float64(1e-3), np.float64(1e308))
+    dt, t_end, output_every = np.float64(0.01), np.float64(0.02), np.float64(1e308)
+    traj = ds_simulate(ParticleState(np.zeros(2)), KuramotoSin(), dt, t_end, output_every)
+    assert list(traj.times) == [0.0, 0.02]

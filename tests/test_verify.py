@@ -153,6 +153,50 @@ def test_sync_limit_nan_q_deviation_fails():
     assert r.passed is False
 
 
+@pytest.mark.parametrize("rhs_scale", [float("inf"), -float("inf")])
+def test_interaction_infinite_scale_fails_without_a_warning(rhs_scale):
+    # sin(alpha + theta) is 0 at alpha = 0, theta = 0, and inf * 0 warned
+    r = verify_mean_interaction(
+        alphas=(0.0,), betas=(0.3,), n_labels=64, n_eval=9, rhs_scale=rhs_scale
+    )
+    assert np.isnan(r.max_residual)
+    assert r.passed is False
+
+
+@pytest.mark.parametrize("q", [float("inf"), -float("inf")])
+def test_sync_limit_infinite_q_fails_without_a_warning(q):
+    # wrap_label of an infinite q warned before it gave the NaN limit
+    r = verify_sync_limit(n_labels=64, q_pair=(0.0, q))
+    assert np.isnan(r.extras["q_deviation"])
+    assert r.passed is False
+
+
+@pytest.mark.parametrize("q", [float("inf"), float("nan")])
+def test_sync_limit_refuses_a_non_finite_first_q(q):
+    with pytest.raises(DomainError, match="q must be finite"):
+        verify_sync_limit(n_labels=64, q_pair=(q, 0.0))
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), -float("inf"), float("nan")])
+def test_sync_limit_refuses_a_non_finite_alpha(alpha):
+    # OAPoint refuses it before wrap_angle(2 pi - alpha) sees it, which warned
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        verify_sync_limit(alpha=alpha, n_labels=64)
+
+
+@pytest.mark.parametrize("a0", [complex(float("nan"), 0.0), complex(float("nan"), 1e308)])
+def test_closure_refuses_a_nan_a0(a0):
+    # |a0| > 0.3 is False for a NaN, so a0 ** n ran and could overflow
+    with pytest.raises(DomainError, match=r"\|a0\| <= 0.3"):
+        verify_oa_closure(a0=a0, t_end=0.1, n_modes=2, max_check=1)
+
+
+def test_closure_refuses_an_off_manifold_start_with_one_mode():
+    # there is no c_2 to replace; it was an IndexError
+    with pytest.raises(DomainError, match="n_modes >= 2"):
+        verify_oa_closure(t_end=0.1, n_modes=1, max_check=1, off_manifold=0.05)
+
+
 def _nan_on_last_call(fn, n_calls, nan_result):
     calls = []
 
