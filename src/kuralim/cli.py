@@ -25,8 +25,8 @@ import yaml
 from . import __version__
 from ._rk4 import step_schedule
 from .circle import TWO_PI, CircularDensity, LabelGrid, ThetaGrid, is_size, is_winding
-from .continuum import LabelField, cl_simulate, manifold_field, twisted_field
-from .errors import KuralimError, ParseError, ValidationError
+from .continuum import manifold_field, twisted_field
+from .errors import DomainError, KuralimError, ParseError, ValidationError
 from .meanfield import (
     DensityTrajectory,
     FourierDensity,
@@ -264,12 +264,12 @@ def parse_config(text: str) -> RunConfig:
     if spec is None or isinstance(spec, str):
         spec = {"type": "kuramoto" if spec is None else spec}
     kind, values = _read_typed(spec, KERNELS, problems, "kernel")
-    offsets, table = values.get("offsets"), values.get("values")
     kernel = KuramotoSin()
-    if offsets and table and not 2 <= len(offsets) == len(table):
-        problems.append("tabulated kernel needs as many offsets as values, at least 2")
-    elif kind is not None and len(values) == len(KERNELS[kind]):
-        kernel = KERNEL_CLASSES[kind](**values)
+    if kind is not None and len(values) == len(KERNELS[kind]):
+        try:
+            kernel = KERNEL_CLASSES[kind](**values)
+        except DomainError as exc:  # a rule of the kernel's class, such as increasing offsets
+            problems.append(str(exc))
     if mode == "mfl-spectral" and kernel != KuramotoSin(1.0):
         problems.append("mfl-spectral supports only the unit-coupling sine kernel")
 
@@ -346,39 +346,35 @@ def _load_initial(path: str, size: int, columns: int) -> np.ndarray:
 
 
 def _build_initial(config: RunConfig):
-    spec = config.initial
-    kind = spec["type"]
-    q = spec.get("q", 0.0)
+    spec, n, mode = config.initial, config.size, config.mode
+    kind, q = spec["type"], spec.get("q", 0.0)
     p = OAPoint(spec["alpha"], spec["beta"]) if kind == "oa" else None
-    if config.mode == "ds":
+    if kind == "file":
+        data = _load_initial(spec["path"], n, 2 if mode == "mfl-spectral" else 1)
+    if mode in ("ds", "cl"):  # a cl run is the ds run of its label values
         if kind == "uniform":
-            rng = np.random.default_rng(config.seed)
-            return ParticleState(rng.uniform(0.0, TWO_PI, config.size))
-        if kind == "twisted":
-            return discrete_twisted_state(config.size, spec["m"], q)
-        if kind == "oa":
-            return ParticleState(manifold_field(LabelGrid(config.size), p, q).values)
-        return ParticleState(_load_initial(spec["path"], config.size, 1)[:, 0])
-    if config.mode == "cl":
-        grid = LabelGrid(config.size)
-        if kind == "twisted":
-            return twisted_field(grid, spec["m"], q)
-        if kind == "oa":
-            return manifold_field(grid, p, q)
-        return LabelField(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
-    if config.mode == "mfl-spectral":
+            x = np.random.default_rng(config.seed).uniform(0.0, TWO_PI, n)
+        elif kind == "twisted" and mode == "ds":  # angles at j / n, not at the label midpoints
+            x = discrete_twisted_state(n, spec["m"], q).positions
+        elif kind == "twisted":
+            x = twisted_field(LabelGrid(n), spec["m"], q).values
+        elif kind == "oa":
+            x = manifold_field(LabelGrid(n), p, q).values
+        else:
+            x = data[:, 0]
+        return ParticleState(x)
+    if mode == "mfl-spectral":
         if kind == "uniform":
-            return FourierDensity(np.zeros(config.size, dtype=complex))
+            return FourierDensity(np.zeros(n, dtype=complex))
         if kind == "oa":
-            return FourierDensity.from_oa(p, config.size)
-        data = _load_initial(spec["path"], config.size, 2)
+            return FourierDensity.from_oa(p, n)
         return FourierDensity(data[:, 0] + 1j * data[:, 1])
-    grid = ThetaGrid(config.size)
+    grid = ThetaGrid(n)
     if kind == "uniform":
-        return CircularDensity(grid, np.full(config.size, 1.0 / TWO_PI))
+        return CircularDensity(grid, np.full(n, 1.0 / TWO_PI))
     if kind == "oa":
         return oa_cell_averages(p, grid)
-    return CircularDensity(grid, _load_initial(spec["path"], config.size, 1)[:, 0])
+    return CircularDensity(grid, data[:, 0])
 
 
 def _write_json(path: str | None, value) -> None:
@@ -400,29 +396,28 @@ def _read_config(path: str) -> RunConfig:
         raise ParseError(f"cannot decode config {path!r}: {exc}") from exc
 
 
+def _header(mode: str, n: int) -> list[str]:
+    """The CSV header of a ``mode`` run of size ``n``."""
+    if mode == "mfl-spectral":
+        return ["t"] + [f"{p}_c_{k}" for k in range(1, n + 1) for p in ("re", "im")]
+    return ["t"] + [f"{'f' if mode == 'mfl-grid' else 'x'}_{j}" for j in range(n)]
+
+
 def _cmd_simulate(args) -> int:
     config = _read_config(args.config)
     initial = _build_initial(config)
     output = args.output or config.output or "run.csv"
-
-    if config.mode in ("ds", "cl"):
-        simulate = ds_simulate if config.mode == "ds" else cl_simulate
-        traj = simulate(initial, config.kernel, config.dt, config.t_end, config.output_every)
-        header = ["t"] + [f"x_{j}" for j in range(config.size)]
-        table = np.column_stack((traj.times, traj.states))
-    elif config.mode == "mfl-grid":
-        traj = mfl_simulate_grid(
-            initial, config.kernel, config.dt, config.t_end, config.output_every
-        )
-        header = ["t"] + [f"f_{j}" for j in range(config.size)]
-        table = np.column_stack((traj.times, traj.values))
+    schedule = (config.dt, config.t_end, config.output_every)
+    if config.mode == "mfl-grid":
+        traj = mfl_simulate_grid(initial, config.kernel, *schedule)
+        states = traj.values
+    elif config.mode == "mfl-spectral":
+        traj = mfl_simulate_spectral(initial, *schedule)
+        states = traj.states.view(float)  # a complex row as floats: re_c_1, im_c_1, re_c_2, ...
     else:
-        traj = mfl_simulate_spectral(initial, config.dt, config.t_end, config.output_every)
-        header = ["t"] + [f"{p}_c_{n}" for n in range(1, config.size + 1) for p in ("re", "im")]
-        # a complex row viewed as floats is re_c_1, im_c_1, re_c_2, ...
-        table = np.column_stack((traj.times, traj.states.view(float)))
-
-    _write_csv(output, header, table)
+        traj = ds_simulate(initial, config.kernel, *schedule)
+        states = traj.states
+    _write_csv(output, _header(config.mode, config.size), np.column_stack((traj.times, states)))
     if config.seed is not None:
         _write_json(os.path.splitext(output)[0] + ".meta.json", {"seed": config.seed})
     return 0
@@ -432,8 +427,7 @@ def _read_density_csv(path: str, n_cells: int) -> DensityTrajectory:
     # a header that does not decode is not the expected one either
     with open(path, errors="replace") as fh:
         header = fh.readline().strip().split(",")
-    expected = ["t"] + [f"f_{j}" for j in range(n_cells)]
-    if header != expected:
+    if header != _header("mfl-grid", n_cells):
         raise ValidationError(
             f"input {path!r} is not a density trajectory with {n_cells} cells"
         )

@@ -40,9 +40,8 @@ class OAPoint:
     """A member of the density family: phase ``alpha``, concentration ``beta``.
 
     ``alpha`` is kept as given inside ``[-pi, pi)`` and wrapped into it
-    otherwise; ``beta`` must lie in
-    ``[0, 1]`` and is clamped to at most ``BETA_CAP``.  Values above one
-    are rejected.
+    otherwise; ``beta`` must lie in ``[0, 1]`` and is clamped to at most
+    ``BETA_CAP``.
     """
 
     alpha: float
@@ -50,10 +49,8 @@ class OAPoint:
 
     def __post_init__(self):
         b = float(self.beta)
-        if not np.isfinite(b) or b < 0.0:
+        if not 0.0 <= b <= 1.0:
             raise DomainError(f"beta must be in [0, 1], got {self.beta!r}")
-        if b > 1.0 + 1e-12:
-            raise DomainError(f"beta must not exceed 1, got {self.beta!r}")
         if not np.isfinite(float(self.alpha)):
             raise DomainError(f"alpha must be finite, got {self.alpha!r}")
         a = float(self.alpha)

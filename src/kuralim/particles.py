@@ -178,6 +178,7 @@ class TabulatedGradient(InteractionKernel):
     """Kernel of gradient shape ``phi(x, y) = Phi'(x - y)`` with ``Phi'``
     given by linear interpolation of samples.
 
+    ``offsets`` and ``values`` are 1-d, of one length of at least 2, and
     ``offsets`` must be strictly increasing.  With ``periodic=True`` the
     offset is wrapped into the base window; otherwise the table must cover
     every offset, and querying outside the window raises
@@ -192,7 +193,7 @@ class TabulatedGradient(InteractionKernel):
         u = frozen(self, "offsets", self.offsets)
         v = frozen(self, "values", self.values)
         if u.ndim != 1 or u.shape != v.shape or len(u) < 2:
-            raise DomainError("offsets/values must be matching 1-d arrays, length >= 2")
+            raise DomainError("tabulated kernel needs as many offsets as values, at least 2")
         _check_finite("offsets/values", np.concatenate([u, v]))
         if np.any(u[1:] <= u[:-1]):  # np.diff would overflow on a window past the float range
             raise DomainError("offsets must be strictly increasing")

@@ -89,6 +89,13 @@ SUITES = {}
 NEGATIVE_CONTROLS = {}
 
 
+def _python(value):
+    """``value`` with numpy scalars, also inside a tuple, as Python numbers."""
+    if isinstance(value, tuple):
+        return tuple(_python(v) for v in value)
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _param(value):
     """JSON form of one suite argument."""
     if isinstance(value, complex):
@@ -100,8 +107,9 @@ def _suite(name, test, negative_control):
     """Register a suite body under ``name`` with its negative control.
 
     The body returns ``(worst, extras)``.  The registered function binds
-    the call's arguments, defaults included, records every one except
-    ``tolerance`` as the report params, and times the whole call.
+    the call's arguments, defaults included, turns numpy scalars among them
+    into Python numbers, records every one except ``tolerance`` as the
+    report params, calls the body with them and times the whole call.
     """
 
     def register(body):
@@ -112,9 +120,10 @@ def _suite(name, test, negative_control):
             started = time.perf_counter()
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
+            bound.arguments = {k: _python(v) for k, v in bound.arguments.items()}
             params = {k: _param(v) for k, v in bound.arguments.items()}
             tolerance = params.pop("tolerance")
-            worst, extras = body(*args, **kwargs)
+            worst, extras = body(*bound.args, **bound.kwargs)
             return VerificationReport(
                 test=test,
                 params=params,

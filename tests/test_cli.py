@@ -21,15 +21,21 @@ import kuralim
 from kuralim import cli
 from kuralim import (
     TWO_PI,
+    CircularDensity,
+    DomainError,
+    FourierDensity,
     KuramotoSin,
+    LabelField,
     LabelGrid,
     OAPoint,
     OddTrig,
     ParseError,
+    ParticleState,
     TabulatedGradient,
     ThetaGrid,
     ValidationError,
     cl_simulate,
+    discrete_twisted_state,
     ds_simulate,
     manifold_field,
     mfl_simulate_grid,
@@ -40,6 +46,7 @@ from kuralim import (
     oa_density,
     oa_flow,
     oa_quantile,
+    twisted_field,
 )
 from kuralim.cli import (
     CSV_CHUNK_VALUES,
@@ -132,7 +139,7 @@ def test_parse_accepts_oa_beta_one_as_the_flag_does():
     # the config once took [0, 1) while --beta took [0, 1]; OAPoint clamps both
     cfg = parse_config("mode: cl\nn_labels: 8\nT: 1\ninitial: {type: oa, alpha: 0.0, beta: 1}\n")
     assert cfg.initial["beta"] == 1.0
-    assert _build_initial(cfg).values.tobytes() == (
+    assert _build_initial(cfg).positions.tobytes() == (
         manifold_field(LabelGrid(8), OAPoint(0.0, 1.0)).values.tobytes()
     )
 
@@ -410,6 +417,16 @@ def test_oa_arguments_below_their_range_exit_two(tmp_path, capsys, args, message
     argv = ["oa", command, "--alpha", "0.3", "--beta", "0.5", *rest, "--output", str(out)]
     assert run_cli(argv) == 2
     assert _single_error_line(capsys) == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["eval", "--n", "4"], ["flow", "--t", "1"]], ids=["eval", "flow"])
+def test_oa_beta_flag_above_one_exits_two_as_the_config_does(tmp_path, capsys, command):
+    # --beta had a 1e-12 slack above one that an oa initial in a config never had
+    out = tmp_path / "oa.csv"
+    argv = ["oa", command[0], "--alpha", "0", "--beta", "1.0000000000001", *command[1:]]
+    assert run_cli([*argv, "--output", str(out)]) == 2
+    assert _single_error_line(capsys) == "error: beta must be in [0, 1], got 1.0000000000001"
     assert not out.exists()
 
 
@@ -1005,9 +1022,49 @@ SIM_CONFIGS = {
 }
 
 
+def _frozen_build_initial(config):
+    """The initial state of each mode as ``simulate`` once built it: a
+    ``LabelField`` for cl, run by ``cl_simulate``."""
+    spec = config.initial
+    kind = spec["type"]
+    q = spec.get("q", 0.0)
+    p = OAPoint(spec["alpha"], spec["beta"]) if kind == "oa" else None
+    if kind == "file":
+        data = np.loadtxt(spec["path"], dtype=float, delimiter=",", ndmin=2)
+    if config.mode == "ds":
+        if kind == "uniform":
+            rng = np.random.default_rng(config.seed)
+            return ParticleState(rng.uniform(0.0, TWO_PI, config.size))
+        if kind == "twisted":
+            return discrete_twisted_state(config.size, spec["m"], q)
+        if kind == "oa":
+            return ParticleState(manifold_field(LabelGrid(config.size), p, q).values)
+        return ParticleState(data[:, 0])
+    if config.mode == "cl":
+        grid = LabelGrid(config.size)
+        if kind == "twisted":
+            return twisted_field(grid, spec["m"], q)
+        if kind == "oa":
+            return manifold_field(grid, p, q)
+        return LabelField(grid, data[:, 0])
+    if config.mode == "mfl-spectral":
+        if kind == "uniform":
+            return FourierDensity(np.zeros(config.size, dtype=complex))
+        if kind == "oa":
+            return FourierDensity.from_oa(p, config.size)
+        return FourierDensity(data[:, 0] + 1j * data[:, 1])
+    grid = ThetaGrid(config.size)
+    if kind == "uniform":
+        return CircularDensity(grid, np.full(config.size, 1.0 / TWO_PI))
+    if kind == "oa":
+        return oa_cell_averages(p, grid)
+    return CircularDensity(grid, data[:, 0])
+
+
 def _per_float_rows(config):
-    """The header and row generator of the per-float simulate writer."""
-    initial = _build_initial(config)
+    """The header and row generator of the per-float simulate writer, from
+    the frozen initial states and solver dispatch."""
+    initial = _frozen_build_initial(config)
     schedule = (config.dt, config.t_end, config.output_every)
     n = config.size
     if config.mode in ("ds", "cl"):
@@ -1039,6 +1096,70 @@ def test_simulate_csv_bytes_match_per_float_writer(tmp_path, mode):
     assert run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "new.csv")]) == 0
     _frozen_write_csv(tmp_path / "old.csv", *_per_float_rows(parse_config(text)))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+KERNEL_TEXTS = {
+    "kuramoto": "{type: kuramoto, coupling: 0.7}",
+    "odd-trig": "{type: odd-trig, coefficients: [1.0, -0.4, 0.2]}",
+    "tabulated": "{type: tabulated, offsets: [-3.2, -1.0, 0.0, 1.0, 3.2], "
+    "values: [0.0, 0.8, 0.0, -0.8, 0.0]}",
+}
+INITIAL_TEXTS = {
+    "uniform": "{type: uniform}",
+    "twisted": "{type: twisted, m: 2, q: 0.3}",
+    "oa": "{type: oa, alpha: 0.4, beta: 0.3}",
+    "file": "{type: file, path: init.csv}",
+}
+# Every kernel type with every initial type its mode takes; mfl-spectral
+# takes only the unit-coupling sine kernel.
+INITIAL_CASES = [
+    (mode, kernel, kind)
+    for mode, (_, kinds, _) in cli.MODES.items()
+    for kernel in (("kuramoto",) if mode == "mfl-spectral" else KERNEL_TEXTS)
+    for kind in kinds
+]
+
+
+@pytest.mark.parametrize("size", [1, 4])
+@pytest.mark.parametrize("mode, kernel, kind", INITIAL_CASES)
+def test_simulate_csv_bytes_match_the_frozen_initials_and_solvers(
+    tmp_path, monkeypatch, mode, kernel, kind, size
+):
+    monkeypatch.chdir(tmp_path)
+    size_key = cli.MODES[mode][0]
+    if mode == "mfl-grid":  # a density of unit mass on at least two cells
+        size += 1
+        rows = [repr((1 + 0.5 * float(np.cos(TWO_PI * j / size))) / TWO_PI) for j in range(size)]
+    elif mode == "mfl-spectral":  # decaying modes, re and im
+        rows = [f"{0.2 ** (k + 1)!r},{-0.1 * 0.2 ** (k + 1)!r}" for k in range(size)]
+    else:  # an angle just below zero, then spread angles
+        rows = [f"{-1e-17 if j == 0 else 0.9 * j}" for j in range(size)]
+    Path("init.csv").write_text("\n".join(rows) + "\n")
+    kernel_text = "kuramoto" if mode == "mfl-spectral" else KERNEL_TEXTS[kernel]
+    initial_text = INITIAL_TEXTS[kind]
+    if kind == "oa" and mode in ("ds", "cl"):  # rotated labels; a density has none
+        initial_text = initial_text.replace("}", ", q: -0.7}")
+    seed = "seed: 5\n" if mode == "ds" and kind == "uniform" else ""
+    text = (
+        f"mode: {mode}\n{size_key}: {size}\nkernel: {kernel_text}\ninitial: {initial_text}\n"
+        f"dt: 0.01\nT: 0.05\noutput_every: 0.02\n{seed}"
+    )
+    Path("run.yaml").write_text(text)
+    assert run_cli(["simulate", "--config", "run.yaml", "--output", "new.csv"]) == 0
+    _frozen_write_csv("old.csv", *_per_float_rows(parse_config(text)))
+    assert Path("new.csv").read_bytes() == Path("old.csv").read_bytes()
+
+
+def test_ds_and_cl_runs_of_one_file_initial_write_the_same_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("init.csv").write_text("-1e-17\n1.0\n2.5\n")
+    for mode, size_key in (("ds", "N"), ("cl", "n_labels")):
+        Path(f"{mode}.yaml").write_text(
+            f"mode: {mode}\n{size_key}: 3\nT: 0.05\ndt: 0.01\n"
+            f"kernel: {KERNEL_TEXTS['tabulated']}\ninitial: {{type: file, path: init.csv}}\n"
+        )
+        assert run_cli(["simulate", "--config", f"{mode}.yaml", "--output", f"{mode}.csv"]) == 0
+    assert Path("ds.csv").read_bytes() == Path("cl.csv").read_bytes()
 
 
 def _assert_transform_bytes(tmp_path, cfg, n_labels):
@@ -1486,7 +1607,11 @@ def _frozen_build_kernel(spec, problems):
         if not isinstance(periodic, bool):
             problems.append("tabulated kernel periodic flag must be boolean")
             periodic = True
-        return TabulatedGradient(np.array(offsets), np.array(values), periodic)
+        try:
+            return TabulatedGradient(np.array(offsets), np.array(values), periodic)
+        except DomainError as exc:  # listed with the other problems, as parse_config now does
+            problems.append(str(exc))
+            return KuramotoSin()
     problems.append(f"unknown kernel type {kind!r}")
     return KuramotoSin()
 
@@ -1735,6 +1860,18 @@ def test_tabulated_mismatch_is_listed_with_the_other_problems():
     with pytest.raises(ValidationError) as err:
         parse_config(text)
     assert "as many offsets as values" in str(err.value)
+    assert "dt must be a positive number" in str(err.value)
+
+
+def test_kernel_class_refusal_is_listed_with_the_other_problems():
+    # the kernel's DomainError escaped parse_config and dropped the dt problem
+    text = (
+        "mode: ds\nN: 3\nT: 1\ndt: -1\n"
+        "kernel: {type: tabulated, offsets: [1.0, 0.0], values: [0.0, 1.0]}\n"
+    )
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert "offsets must be strictly increasing" in str(err.value)
     assert "dt must be a positive number" in str(err.value)
 
 

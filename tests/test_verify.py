@@ -6,6 +6,7 @@ run at reduced sizes to exercise reporting and the failure directions.
 import inspect
 import json
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kuralim import (
     oa_flow,
     run_suite,
     verify_bridge,
+    verify_manifold_invariance,
     verify_mean_interaction,
     verify_oa_closure,
     verify_spectrum,
@@ -316,6 +318,25 @@ def test_library_call_records_arguments_as_passed():
     r = verify_sync_limit(n_labels=64, q_pair=(0, 2), beta_probes=(0.999, 0.99))
     assert r.params["q_pair"] == [0, 2]
     assert r.params["beta_probes"] == [0.999, 0.99]
+
+
+def test_numpy_scalar_arguments_reach_the_suite_as_python_numbers():
+    # np.float64(-inf) * 0.0 warned in the reference loop before oa_flow refused the NaN time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            verify_manifold_invariance(
+                flow_scale=np.float64(-np.inf), t_end=0.01, dt=0.01, n_labels=8
+            )
+
+
+def test_numpy_scalar_arguments_are_recorded_as_json_numbers():
+    # np.int64 n_cells was recorded as is, and json.dumps refused it
+    r = verify_spectrum(n_cells=np.int64(16))
+    assert json.loads(json.dumps(r.to_json_dict()))["params"]["n_cells"] == 16
+    r = verify_sync_limit(n_labels=np.int64(64), q_pair=(np.float64(0.0), np.float64(2.0)))
+    assert json.loads(json.dumps(r.params)) == r.params
+    assert type(r.params["n_labels"]) is int and r.params["q_pair"] == [0.0, 2.0]
 
 
 VERIFY_ALL = [
