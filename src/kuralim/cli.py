@@ -46,13 +46,14 @@ from .particles import (
 from .bridge import mfl_to_cl_circle
 from .verify import SUITES, run_suite
 
-#: Mode -> (size key, initial types, default initial).  By default a run
-#: starts from the mode's uniform state; cl from the identity field, one twist.
+#: Mode -> (size key, least size, initial types, default initial).  A grid
+#: needs two cells.  By default a run starts from the mode's uniform state;
+#: cl from the identity field, one twist.
 MODES = {
-    "ds": ("N", ("uniform", "twisted", "oa", "file"), {"type": "uniform"}),
-    "cl": ("n_labels", ("twisted", "oa", "file"), {"type": "twisted", "m": 1}),
-    "mfl-spectral": ("n_modes", ("uniform", "oa", "file"), {"type": "uniform"}),
-    "mfl-grid": ("n_cells", ("uniform", "oa", "file"), {"type": "uniform"}),
+    "ds": ("N", 1, ("uniform", "twisted", "oa", "file"), {"type": "uniform"}),
+    "cl": ("n_labels", 1, ("twisted", "oa", "file"), {"type": "twisted", "m": 1}),
+    "mfl-spectral": ("n_modes", 1, ("uniform", "oa", "file"), {"type": "uniform"}),
+    "mfl-grid": ("n_cells", 2, ("uniform", "oa", "file"), {"type": "uniform"}),
 }
 
 #: Longest array built from one CLI number: a run's or a transform's size
@@ -147,7 +148,7 @@ RUN_KEYS = {
     "T": (_nonnegative, None, "T must be a nonnegative number"),
     "output_every": (_positive, 0.1, "output_every must be a positive number"),
 }
-PART_KEYS = ("mode", *[k for k, _, _ in MODES.values()], "kernel", "initial", "output", "seed")
+PART_KEYS = ("mode", *[k for k, *_ in MODES.values()], "kernel", "initial", "output", "seed")
 
 #: Kernel type -> its keys besides ``type``, which are its class's fields.
 KERNELS = {
@@ -250,13 +251,14 @@ def parse_config(text: str) -> RunConfig:
         problems.append(f"mode must be one of {', '.join(MODES)}")
         raise ValidationError("; ".join(problems))
 
-    size_key, initial_types, default_initial = MODES[mode]
-    wrong_sizes = [k for k, _, _ in MODES.values() if k != size_key and k in doc]
+    size_key, least, initial_types, default_initial = MODES[mode]
+    wrong_sizes = [k for k, *_ in MODES.values() if k != size_key and k in doc]
     if wrong_sizes:
         problems.append(f"size keys {wrong_sizes} do not apply to mode {mode!r}")
     size = doc.get(size_key)
-    if not is_size(size, 1):
-        problems.append(f"{size_key} must be a positive integer")
+    if not is_size(size, least):
+        rule = "a positive integer" if least == 1 else f"an integer of at least {least}"
+        problems.append(f"{size_key} must be {rule}")
     elif size > MAX_SIZE:
         problems.append(f"{size_key} must be at most {MAX_SIZE}")
 

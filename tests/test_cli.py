@@ -68,6 +68,12 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _single_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
 def test_parse_minimal_document_fills_defaults():
     cfg = parse_config("mode: cl\nkernel: kuramoto\nn_labels: 256\nT: 1\n")
     assert cfg.dt == 1e-3
@@ -324,18 +330,6 @@ def test_transform_refuses_coarse_recording(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_transform_without_an_input_exits_two(tmp_path, capsys):
-    cfg = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 8\nT: 0.05\n")
-    assert run_cli(["transform", "--config", cfg]) == 2
-    assert _single_error_line(capsys) == "error: no input trajectory: pass --input or set output in the config"
-
-
-def test_transform_requires_grid_mode(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.yaml", "mode: cl\nkernel: kuramoto\nn_labels: 8\nT: 0.1\n")
-    assert run_cli(["transform", "--config", cfg]) == 2
-    assert "mfl-grid" in capsys.readouterr().err
-
-
 def test_oa_flow_matches_closed_form(tmp_path):
     out = tmp_path / "flow.csv"
     assert run_cli([
@@ -367,14 +361,6 @@ def test_oa_flow_recording_times(tmp_path, t_end, times):
     assert np.allclose(rows[:, 0], times, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("t_end", ["inf", "nan"])
-def test_oa_flow_rejects_non_finite_time(tmp_path, capsys, t_end):
-    out = tmp_path / "flow.csv"
-    assert run_cli(["oa", "flow", "--alpha", "0.3", "--beta", "0.1", "--t", t_end, "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: --t must be finite and nonnegative\n"
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "every, t_end", [(1e-300, 1.0), (1e-300, 1e300), (1e-7, 1.0), (1.0, 1e300), (5e-324, 1.0)]
 )
@@ -382,64 +368,6 @@ def test_oa_flow_refuses_schedules_over_the_row_limit(every, t_end):
     # checked on the pair alone: none of these schedules is ever built
     with pytest.raises(ValidationError, match="more than 10000000 rows"):
         _oa_flow_times(every, t_end)
-
-
-def _single_error_line(capsys):
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    return err[0]
-
-
-@pytest.mark.parametrize("dt, t_end", [("1e-300", "1e300"), ("1e-300", "1")], ids=["overflow", "too-long"])
-def test_simulate_refuses_schedules_past_max_steps(tmp_path, capsys, dt, t_end):
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: ds\nN: 4\ndt: {dt}\nT: {t_end}\ninitial: {{type: twisted, m: 1}}\n"
-        f"output: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert "steps" in _single_error_line(capsys)
-    assert not (tmp_path / "out.csv").exists()
-
-
-OA_BELOW_RANGE = {
-    "flow-t": (["flow", "--t", "-1"], "--t must be finite and nonnegative"),
-    "flow-every": (["flow", "--t", "1", "--output-every", "0"], "--output-every must be positive"),
-    "eval-n": (["eval", "--n", "0"], "--n must be at least 1"),
-}
-
-
-@pytest.mark.parametrize("args, message", OA_BELOW_RANGE.values(), ids=OA_BELOW_RANGE.keys())
-def test_oa_arguments_below_their_range_exit_two(tmp_path, capsys, args, message):
-    out = tmp_path / "oa.csv"
-    command, *rest = args
-    argv = ["oa", command, "--alpha", "0.3", "--beta", "0.5", *rest, "--output", str(out)]
-    assert run_cli(argv) == 2
-    assert _single_error_line(capsys) == f"error: {message}"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", [["eval", "--n", "4"], ["flow", "--t", "1"]], ids=["eval", "flow"])
-def test_oa_beta_flag_above_one_exits_two_as_the_config_does(tmp_path, capsys, command):
-    # --beta had a 1e-12 slack above one that an oa initial in a config never had
-    out = tmp_path / "oa.csv"
-    argv = ["oa", command[0], "--alpha", "0", "--beta", "1.0000000000001", *command[1:]]
-    assert run_cli([*argv, "--output", str(out)]) == 2
-    assert _single_error_line(capsys) == "error: beta must be in [0, 1], got 1.0000000000001"
-    assert not out.exists()
-
-
-def test_oa_flow_refuses_infinite_output_interval(tmp_path, capsys):
-    # and NaN: step_schedule once refused both as "dt", which oa flow does not have
-    out = tmp_path / "flow.csv"
-    for every in ("inf", "nan"):
-        args = ["oa", "flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", every]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
-            assert run_cli(args + ["--output", str(out)]) == 2
-        assert _single_error_line(capsys) == "error: --output-every must be finite"
-        assert not out.exists()
 
 
 @pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels")])
@@ -489,54 +417,6 @@ def test_oa_flow_row_limit_bounds_the_written_rows(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "head, dt",
-    [
-        ("mode: ds\nN: 2\nkernel: {type: kuramoto, coupling: 1.0e308}\n"
-         "initial: {type: uniform}\nseed: 3\n", "0.3"),
-        ("mode: cl\nn_labels: 8\nkernel: {type: odd-trig, coefficients: [1.0e308, 1.0e308]}\n"
-         "initial: {type: oa, alpha: 0.3, beta: 0.9}\n", "0.1"),
-        # interaction sums that overflow math.fsum: ds sums its 3 particles
-        # with math.fsum itself, cl its 600 labels on the extraction path,
-        # which hands rows that close to overflow to math.fsum
-        ("mode: ds\nN: 3\nkernel: {type: tabulated, offsets: [-3.141592653589793, "
-         "3.141592653589793], values: [1.0e308, 1.0e308], periodic: true}\n"
-         "initial: {type: uniform}\nseed: 0\n", "0.01"),
-        ("mode: cl\nn_labels: 600\nkernel: {type: tabulated, offsets: [-7.0, 7.0], "
-         "values: [1.0e308, 1.0e308], periodic: false}\n", "0.01"),
-    ],
-    ids=["ds", "cl", "fsum", "extraction"],
-)
-def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, head, dt):
-    # The state overflows in the first step.  numpy's overflow and
-    # invalid-value warnings on the way are not printed (pyproject.toml
-    # turns them into errors here).
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        head + f"dt: {dt}\nT: 0.3\noutput_every: {dt}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert _single_error_line(capsys) == f"error: non-finite state at step 1 (t = {dt})"
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("mode, size_key", [("ds", "N"), ("cl", "n_labels")])
-def test_twisted_winding_whose_angles_overflow_exits_two(tmp_path, capsys, mode, size_key):
-    # m is in the float range, its angles are not: numpy's warnings came first
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: {mode}\n{size_key}: 4\nT: 0.01\ninitial: {{type: twisted, m: {10**308}}}\n"
-        f"output: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert _single_error_line(capsys) == (
-        "error: winding m = 1e+308 with q = 0 puts angles past the float range"
-    )
-    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -676,19 +556,6 @@ def test_oa_initial_up_to_beta_one_runs(tmp_path, capsys, mode, size_key, beta):
     assert cells.shape == (2, 65) and np.all(np.isfinite(cells))
 
 
-@pytest.mark.parametrize("beta", ["1", "0.9999999999"])
-def test_oa_initial_near_beta_one_overruns_the_spectral_modes(tmp_path, capsys, beta):
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: mfl-spectral\nn_modes: 64\nT: 0.01\ndt: 0.001\n"
-        f"initial: {{type: oa, alpha: 0.0, beta: {beta}}}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert _single_error_line(capsys).startswith("error: last mode reached |c_N|")
-    assert not (tmp_path / "out.csv").exists()
-
-
 def test_verify_subcommand_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run_cli(["verify", "spectrum", "--output", str(out)]) == 0
@@ -721,36 +588,6 @@ def test_json_files_are_indented_with_a_final_newline(tmp_path, capsys):
         return {k: v for k, v in json.loads(text).items() if k != "runtime_s"}
 
     assert report([]) == report(["--output", ""]) == report(["--output", str(tmp_path / "r.json")])
-
-
-def test_missing_config_exits_two(tmp_path, capsys):
-    assert run_cli(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_unknown_arguments_exit_two(capsys):
-    assert run_cli(["simulate"]) == 2  # --config is required
-    assert run_cli(["verify", "no-such-suite"]) == 2
-    capsys.readouterr()
-
-
-USAGE_ERRORS = {
-    "no-command": [],
-    "unknown-command": ["bogus"],
-    "unknown-suite": ["verify", "bogus"],
-    "missing-config": ["simulate"],
-    "bad-int": ["transform", "--config", "{cfg}", "--n-labels", "abc"],
-    "missing-alpha": ["oa", "eval", "--beta", "0.5", "--output", "{out}"],
-}
-
-
-@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
-def test_usage_error_is_one_error_line(tmp_path, capsys, argv):
-    cfg = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 4\nT: 0.0\n")
-    out = str(tmp_path / "out.csv")
-    assert run_cli([a.format(cfg=cfg, out=out) for a in argv]) == 2
-    _single_error_line(capsys)
-    assert not os.path.exists(out)
 
 
 def test_help_exits_zero(capsys):
@@ -803,96 +640,6 @@ def test_file_initial_angle_just_below_zero_reads_as_zero(tmp_path, mode, size_k
     rows = (tmp_path / "out.csv").read_text().splitlines()
     assert rows[1] == "0.0000000000000000e+00,0.0000000000000000e+00,1.0000000000000000e+00"
     assert all(0.0 <= v < TWO_PI for row in rows[1:] for v in map(float, row.split(",")[1:]))
-
-
-@pytest.mark.parametrize(
-    "mode, size_key, line",
-    [("ds", "N", "0.5"), ("cl", "n_labels", "0.5"), ("mfl-grid", "n_cells", "0.5"),
-     ("mfl-spectral", "n_modes", "0.1,0.0")],
-)
-def test_file_initial_length_must_match_size(tmp_path, capsys, mode, size_key, line):
-    init = _write(tmp_path, "init.csv", f"{line}\n" * 3)
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: {mode}\n{size_key}: 5\nT: 0.0\n"
-        f"initial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert "error: initial file" in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "mode, size_key, line, message",
-    [("ds", "N", "nan", "initial state contains non-finite components"),
-     ("cl", "n_labels", "inf", "initial state contains non-finite components"),
-     ("mfl-grid", "n_cells", "nan", "density values must be finite"),
-     ("mfl-spectral", "n_modes", "nan,0.0", "initial state contains non-finite components")],
-)
-def test_file_initial_holding_a_non_finite_number_exits_two(tmp_path, capsys, mode, size_key, line, message):
-    init = _write(tmp_path, "init.csv", f"{line}\n" * 2)
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: {mode}\n{size_key}: 2\nT: 0.01\ndt: 0.01\n"
-        f"initial: {{type: file, path: '{init}'}}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert _single_error_line(capsys) == f"error: {message}"
-    assert not (tmp_path / "out.csv").exists()
-
-
-def test_malformed_numbers_exit_two(tmp_path, capsys):
-    init = _write(tmp_path, "init.csv", "0.1\nabc\n0.3\n")
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: ds\nN: 3\nT: 0.0\ninitial: {{type: file, path: '{init}'}}\n"
-        f"output: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert "error: cannot read numbers" in capsys.readouterr().err
-    # the same for a stored density trajectory handed to transform
-    traj = _write(tmp_path, "traj.csv", "t,f_0,f_1\n0.0,0.1,oops\n")
-    grid = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 2\nT: 0.0\n")
-    assert run_cli(["transform", "--config", grid, "--input", traj]) == 2
-    assert "error: cannot read numbers" in capsys.readouterr().err
-
-
-NON_FINITE_KERNELS = [
-    "{type: tabulated, offsets: [-7.0, 0.0, 7.0], values: [.inf, 0.0, -.inf], periodic: false}",
-    "{type: tabulated, offsets: [-7.0, .nan, 7.0], values: [1.0, 0.0, -1.0], periodic: false}",
-    "{type: kuramoto, coupling: .nan}",
-    "{type: kuramoto, coupling: 1e400}",
-    "{type: odd-trig, coefficients: [1.0, .inf]}",
-]
-
-
-@pytest.mark.parametrize("kernel", NON_FINITE_KERNELS)
-def test_non_finite_kernel_parameters_exit_two(tmp_path, capsys, kernel):
-    cfg = _write(
-        tmp_path,
-        "run.yaml",
-        f"mode: ds\nN: 4\ndt: 0.01\nT: 0.01\ninitial: {{type: twisted, m: 1}}\n"
-        f"kernel: {kernel}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "kernel" in err and "finite" in err
-    assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize(
-    "initial",
-    ["{type: oa, alpha: .nan, beta: 0.2}", "{type: oa, alpha: 0.1, beta: .nan}",
-     "{type: oa, alpha: 0.1, beta: 0.2, q: .inf}", "{type: twisted, m: 1, q: -.inf}"],
-)
-def test_non_finite_initial_parameters_exit_two(tmp_path, capsys, initial):
-    cfg = _write(tmp_path, "run.yaml", f"mode: cl\nn_labels: 8\nT: 0.0\ninitial: {initial}\n")
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "initial" in err
 
 
 def test_kernel_and_initial_parameters_read_exponent_floats():
@@ -994,6 +741,197 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+# ------------------------------------------------------------ refusals
+#
+# One catalogue of the CLI's refusals.  Each row writes its files into an
+# empty directory and runs one command there.  The command must exit 2
+# with one "error:" line on stderr, warn nothing and leave no file besides
+# the row's own.  A string is that line exactly; a pattern is searched for
+# in it.
+
+NON_FINITE_KERNELS = {
+    "tabulated-values-inf": "{type: tabulated, offsets: [-7.0, 0.0, 7.0], values: [.inf, 0.0, -.inf], "
+    "periodic: false}",
+    "tabulated-offsets-nan": "{type: tabulated, offsets: [-7.0, .nan, 7.0], values: [1.0, 0.0, -1.0], "
+    "periodic: false}",
+    "coupling-nan": "{type: kuramoto, coupling: .nan}",
+    "coupling-1e400": "{type: kuramoto, coupling: 1e400}",
+    "coefficients-inf": "{type: odd-trig, coefficients: [1.0, .inf]}",
+}
+NON_FINITE_INITIALS = {
+    "oa-alpha-nan": "{type: oa, alpha: .nan, beta: 0.2}",
+    "oa-beta-nan": "{type: oa, alpha: 0.1, beta: .nan}",
+    "oa-q-inf": "{type: oa, alpha: 0.1, beta: 0.2, q: .inf}",
+    "twisted-q-inf": "{type: twisted, m: 1, q: -.inf}",
+}
+FILE_INITIAL = "initial: {type: file, path: init.csv}\n"
+GRID_2 = "mode: mfl-grid\nn_cells: 2\nT: 0.0\n"
+ANY = re.compile("^error: ")
+
+
+def _simulate(config, expect, init=None):
+    """A simulate row: ``config`` as run.yaml, and ``init`` as init.csv."""
+    files = {"run.yaml": config} if init is None else {"run.yaml": config, "init.csv": init}
+    return files, ["simulate", "--config", "run.yaml"], expect
+
+
+def _transform(config, expect, *flags, traj=None):
+    """A transform row: ``config`` as g.yaml, and ``traj`` as traj.csv, its --input."""
+    files = {"g.yaml": config}
+    if traj is not None:
+        files["traj.csv"] = traj
+        flags = ("--input", "traj.csv", *flags)
+    return files, ["transform", "--config", "g.yaml", *flags], expect
+
+
+def _oa(*args, expect):
+    return {}, ["oa", *args, "--output", "out.csv"], expect
+
+
+def _overflow(head, dt):
+    # The state overflows in the first step; numpy's overflow and
+    # invalid-value warnings on the way are not printed.
+    config = head + f"dt: {dt}\nT: 0.3\noutput_every: {dt}\n"
+    return _simulate(config, f"error: non-finite state at step 1 (t = {dt})")
+
+
+REFUSALS = {
+    # usage errors
+    "no-command": ({}, [], ANY),
+    "unknown-command": ({}, ["bogus"], ANY),
+    "unknown-suite": ({}, ["verify", "bogus"], ANY),
+    "no-such-suite": ({}, ["verify", "no-such-suite"], ANY),
+    "config-flag-missing": ({}, ["simulate"], ANY),
+    "config-file-missing": ({}, ["simulate", "--config", "missing.yaml"], ANY),
+    "bad-int": _transform("mode: mfl-grid\nn_cells: 4\nT: 0.0\n", ANY, "--n-labels", "abc"),
+    "missing-alpha": _oa("eval", "--beta", "0.5", expect=ANY),
+    # oa arguments
+    "flow-t-inf": _oa("flow", "--alpha", "0.3", "--beta", "0.1", "--t", "inf",
+                      expect="error: --t must be finite and nonnegative"),
+    "flow-t-nan": _oa("flow", "--alpha", "0.3", "--beta", "0.1", "--t", "nan",
+                      expect="error: --t must be finite and nonnegative"),
+    "flow-t-negative": _oa("flow", "--alpha", "0.3", "--beta", "0.5", "--t", "-1",
+                           expect="error: --t must be finite and nonnegative"),
+    "flow-every-zero": _oa("flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", "0",
+                           expect="error: --output-every must be positive"),
+    # step_schedule once refused both as "dt", which oa flow does not have
+    "flow-every-inf": _oa("flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", "inf",
+                          expect="error: --output-every must be finite"),
+    "flow-every-nan": _oa("flow", "--alpha", "0.3", "--beta", "0.5", "--t", "1", "--output-every", "nan",
+                          expect="error: --output-every must be finite"),
+    "eval-n-zero": _oa("eval", "--alpha", "0.3", "--beta", "0.5", "--n", "0",
+                       expect="error: --n must be at least 1"),
+    # --beta had a 1e-12 slack above one that an oa initial in a config never had
+    "eval-beta-above-one": _oa("eval", "--alpha", "0", "--beta", "1.0000000000001", "--n", "4",
+                               expect="error: beta must be in [0, 1], got 1.0000000000001"),
+    "flow-beta-above-one": _oa("flow", "--alpha", "0", "--beta", "1.0000000000001", "--t", "1",
+                               expect="error: beta must be in [0, 1], got 1.0000000000001"),
+    # transform inputs
+    "transform-without-input": _transform(
+        "mode: mfl-grid\nn_cells: 8\nT: 0.05\n",
+        "error: no input trajectory: pass --input or set output in the config"),
+    "transform-of-cl": _transform("mode: cl\nkernel: kuramoto\nn_labels: 8\nT: 0.1\n", re.compile("mfl-grid")),
+    "transform-malformed-numbers": _transform(
+        GRID_2, re.compile("^error: cannot read numbers"), traj="t,f_0,f_1\n0.0,0.1,oops\n"),
+    "transform-without-rows": _transform(
+        GRID_2, re.compile(r"^error: cannot read numbers from 'traj\.csv'"), traj="t,f_0,f_1\n"),
+    "transform-non-utf8-header": _transform(
+        GRID_2, "error: input 'traj.csv' is not a density trajectory with 2 cells",
+        traj=b"t,f_0\xff,f_1\n0.0,0.5,0.5\n"),
+    # configs
+    "non-utf8-config": _simulate(b"\xff\xfe\x00mode: ds\n", re.compile(r"^error: cannot decode config 'run\.yaml'")),
+    # PyYAML raises ValueError, not a YAMLError, for these
+    "long-int": _simulate("mode: cl\nn_labels: 4\nT: 1\nwhen: 1" + "0" * 5000 + "\n",
+                          re.compile("^error: malformed config: ")),
+    "bad-date": _simulate("mode: cl\nn_labels: 4\nT: 1\nwhen: 2001-13-45\n",
+                          re.compile("^error: malformed config: ")),
+    # ThetaGrid refused one cell only after parse_config had listed the dt problem alone
+    "grid-one-cell": _simulate("mode: mfl-grid\nn_cells: 1\ndt: -1\nT: 1\n",
+                               "error: dt must be a positive number; n_cells must be an integer of at least 2"),
+    **{
+        f"kernel-{name}": _simulate(
+            f"mode: ds\nN: 4\ndt: 0.01\nT: 0.01\ninitial: {{type: twisted, m: 1}}\nkernel: {kernel}\n",
+            re.compile("kernel.*finite"))
+        for name, kernel in NON_FINITE_KERNELS.items()
+    },
+    **{
+        f"initial-{name}": _simulate(f"mode: cl\nn_labels: 8\nT: 0.0\ninitial: {initial}\n", re.compile("initial"))
+        for name, initial in NON_FINITE_INITIALS.items()
+    },
+    # initial files
+    **{
+        f"file-length-{mode}": _simulate(f"mode: {mode}\n{key}: 5\nT: 0.0\n{FILE_INITIAL}",
+                                         re.compile("^error: initial file"), init=f"{line}\n" * 3)
+        for mode, key, line in [("ds", "N", "0.5"), ("cl", "n_labels", "0.5"), ("mfl-grid", "n_cells", "0.5"),
+                                ("mfl-spectral", "n_modes", "0.1,0.0")]
+    },
+    **{
+        f"file-non-finite-{mode}": _simulate(f"mode: {mode}\n{key}: 2\nT: 0.01\ndt: 0.01\n{FILE_INITIAL}",
+                                             f"error: {message}", init=f"{line}\n" * 2)
+        for mode, key, line, message in [
+            ("ds", "N", "nan", "initial state contains non-finite components"),
+            ("cl", "n_labels", "inf", "initial state contains non-finite components"),
+            ("mfl-grid", "n_cells", "nan", "density values must be finite"),
+            ("mfl-spectral", "n_modes", "nan,0.0", "initial state contains non-finite components"),
+        ]
+    },
+    "file-malformed-numbers": _simulate(f"mode: ds\nN: 3\nT: 0.0\n{FILE_INITIAL}",
+                                        re.compile("^error: cannot read numbers"), init="0.1\nabc\n0.3\n"),
+    # numpy only warns about a file without numbers; that warning once reached stderr
+    "file-empty": _simulate(
+        f"mode: cl\nn_labels: 4\nT: 0.0\n{FILE_INITIAL}",
+        "error: cannot read numbers from 'init.csv': loadtxt: input contained no data: \"init.csv\"", init=""),
+    # runs that stop
+    "schedule-overflow": _simulate("mode: ds\nN: 4\ndt: 1e-300\nT: 1e300\ninitial: {type: twisted, m: 1}\n",
+                                   re.compile("steps")),
+    "schedule-too-long": _simulate("mode: ds\nN: 4\ndt: 1e-300\nT: 1\ninitial: {type: twisted, m: 1}\n",
+                                   re.compile("steps")),
+    "overflow-ds": _overflow("mode: ds\nN: 2\nkernel: {type: kuramoto, coupling: 1.0e308}\n"
+                             "initial: {type: uniform}\nseed: 3\n", "0.3"),
+    "overflow-cl": _overflow("mode: cl\nn_labels: 8\nkernel: {type: odd-trig, coefficients: [1.0e308, 1.0e308]}\n"
+                             "initial: {type: oa, alpha: 0.3, beta: 0.9}\n", "0.1"),
+    # interaction sums that overflow math.fsum: ds sums its 3 particles
+    # with math.fsum itself, cl its 600 labels on the extraction path,
+    # which hands rows that close to overflow to math.fsum
+    "overflow-fsum": _overflow("mode: ds\nN: 3\nkernel: {type: tabulated, offsets: [-3.141592653589793, "
+                               "3.141592653589793], values: [1.0e308, 1.0e308], periodic: true}\n"
+                               "initial: {type: uniform}\nseed: 0\n", "0.01"),
+    "overflow-extraction": _overflow("mode: cl\nn_labels: 600\nkernel: {type: tabulated, offsets: [-7.0, 7.0], "
+                                     "values: [1.0e308, 1.0e308], periodic: false}\n", "0.01"),
+    # m is in the float range, its angles are not: numpy's warnings came first
+    **{
+        f"winding-angles-{mode}": _simulate(f"mode: {mode}\n{key}: 4\nT: 0.01\ninitial: {{type: twisted, m: {10**308}}}\n",
+                                            "error: winding m = 1e+308 with q = 0 puts angles past the float range")
+        for mode, key in [("ds", "N"), ("cl", "n_labels")]
+    },
+    **{
+        f"spectral-beta-{beta}": _simulate(
+            f"mode: mfl-spectral\nn_modes: 64\nT: 0.01\ndt: 0.001\ninitial: {{type: oa, alpha: 0.0, beta: {beta}}}\n",
+            re.compile(r"^error: last mode reached \|c_N\|"))
+        for beta in ("1", "0.9999999999")
+    },
+    "cfl-number": _simulate(
+        "mode: mfl-grid\nn_cells: 8\nT: 0.1\ndt: 0.1\nkernel: {type: odd-trig, coefficients: [1.0e308]}\n"
+        "initial: {type: oa, alpha: 0.3, beta: 0.5}\n",
+        re.compile(r"^error: CFL number \d\.\d{5}e\+306 exceeds 0\.5 at t = 0\.1; need dt <= \S+$")),
+}
+
+
+@pytest.mark.parametrize("files, argv, expect", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, files, argv, expect):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        path = Path(name)
+        path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    line = _single_error_line(capsys)
+    assert line == expect if isinstance(expect, str) else expect.search(line), line
+    assert sorted(os.listdir()) == sorted(files)
+
+
 # ------------------------------------------------------------ CSV bytes
 #
 # Every CSV writer hands one float table to ``_write_csv``.  The reference
@@ -1089,15 +1027,6 @@ def _per_float_rows(config):
     return header, rows_spectral()
 
 
-@pytest.mark.parametrize("mode", list(SIM_CONFIGS))
-def test_simulate_csv_bytes_match_per_float_writer(tmp_path, mode):
-    text = SIM_CONFIGS[mode] + "dt: 0.01\nT: 0.05\noutput_every: 0.02\n"
-    cfg = _write(tmp_path, "run.yaml", text)
-    assert run_cli(["simulate", "--config", cfg, "--output", str(tmp_path / "new.csv")]) == 0
-    _frozen_write_csv(tmp_path / "old.csv", *_per_float_rows(parse_config(text)))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-
 KERNEL_TEXTS = {
     "kuramoto": "{type: kuramoto, coupling: 0.7}",
     "odd-trig": "{type: odd-trig, coefficients: [1.0, -0.4, 0.2]}",
@@ -1114,7 +1043,7 @@ INITIAL_TEXTS = {
 # takes only the unit-coupling sine kernel.
 INITIAL_CASES = [
     (mode, kernel, kind)
-    for mode, (_, kinds, _) in cli.MODES.items()
+    for mode, (_, _, kinds, _) in cli.MODES.items()
     for kernel in (("kuramoto",) if mode == "mfl-spectral" else KERNEL_TEXTS)
     for kind in kinds
 ]
@@ -1317,7 +1246,7 @@ def _readme_configs():
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 def test_yaml_loaders_give_equal_documents():
     corpus = [*_readme_configs(), *_benchmark_shaped_configs(), *SIM_CONFIGS.values(),
-              *NON_FINITE_KERNELS, EDGE_SCALARS]
+              *NON_FINITE_KERNELS.values(), EDGE_SCALARS]
     assert len(corpus) > 10
     for text in corpus:
         # repr tells 1 from 1.0 and -0.0 from 0.0, and nan equals itself
@@ -1371,14 +1300,6 @@ def test_malformed_config_exits_two_with_its_line(tmp_path, capsys, loaded, text
     assert loaded == [text, text]
 
 
-@pytest.mark.parametrize("value", ["1" + "0" * 5000, "2001-13-45"], ids=["long-int", "bad-date"])
-def test_scalars_python_cannot_build_exit_two(tmp_path, capsys, value):
-    # PyYAML raises ValueError, not a YAMLError, for these
-    text = f"mode: cl\nn_labels: 4\nT: 1\nwhen: {value}\n"
-    assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 2
-    assert _single_error_line(capsys).startswith("error: malformed config: ")
-
-
 # ------------------------------------------------------------ known defects
 
 
@@ -1397,23 +1318,6 @@ def test_nonnegative_seeds_run(tmp_path, seed):
     text = f"mode: ds\nN: 4\nseed: {seed}\nT: 0.02\ndt: 0.01\noutput: {tmp_path}/out.csv\n"
     assert run_cli(["simulate", "--config", _write(tmp_path, "run.yaml", text)]) == 0
     assert json.loads((tmp_path / "out.meta.json").read_text()) == {"seed": seed}
-
-
-def test_empty_initial_file_prints_one_error_line(tmp_path):
-    # A subprocess, so that a warning would reach stderr as it does for a user.
-    empty = _write(tmp_path, "empty.csv", "")
-    cfg = _write(
-        tmp_path, "run.yaml",
-        f"mode: cl\nn_labels: 4\nT: 0.0\ninitial: {{type: file, path: '{empty}'}}\n"
-        f"output: {tmp_path}/out.csv\n",
-    )
-    out = subprocess.run(
-        [sys.executable, "-m", "kuralim", "simulate", "--config", cfg],
-        env=_src_env(), capture_output=True, text=True,
-    )
-    assert out.returncode == 2
-    assert out.stderr == f"error: cannot read numbers from {empty!r}: loadtxt: input contained no data: \"{empty}\"\n"
-    assert not (tmp_path / "out.csv").exists()
 
 
 def _nested(kind, n):
@@ -1503,27 +1407,6 @@ def test_depth_check_refuses_exactly_the_documents_past_the_limit(doc, flow, lim
                     cli._check_depth(text, loader)
             else:
                 cli._check_depth(text, loader)
-
-
-def test_density_csv_without_rows_exits_two(tmp_path, capsys):
-    grid = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 2\nT: 0.0\n")
-    traj = _write(tmp_path, "traj.csv", "t,f_0,f_1\n")
-    assert run_cli(["transform", "--config", grid, "--input", traj]) == 2
-    assert _single_error_line(capsys).startswith(f"error: cannot read numbers from {traj!r}")
-
-
-def test_cfl_refusal_prints_a_short_number(tmp_path, capsys):
-    cfg = _write(
-        tmp_path, "run.yaml",
-        "mode: mfl-grid\nn_cells: 8\nT: 0.1\ndt: 0.1\n"
-        "kernel: {type: odd-trig, coefficients: [1.0e308]}\n"
-        f"initial: {{type: oa, alpha: 0.3, beta: 0.5}}\noutput: {tmp_path}/out.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 2
-    assert re.fullmatch(
-        r"error: CFL number \d\.\d{5}e\+306 exceeds 0\.5 at t = 0\.1; need dt <= \S+",
-        _single_error_line(capsys),
-    )
 
 
 # ------------------------------------------------------------ config tables
@@ -1694,7 +1577,8 @@ def _frozen_parse_config(text: str) -> cli.RunConfig:
     if wrong_sizes:
         problems.append(f"size keys {wrong_sizes} do not apply to mode {mode!r}")
     size = doc.get(size_key)
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+    least = 2 if mode == "mfl-grid" else 1  # ThetaGrid's rule, read before any grid is built
+    if not isinstance(size, int) or isinstance(size, bool) or size < least:
         problems.append(f"{size_key} must be a positive integer")
         size = 1
     elif size > cli.MAX_SIZE:
@@ -1875,25 +1759,20 @@ def test_kernel_class_refusal_is_listed_with_the_other_problems():
     assert "dt must be a positive number" in str(err.value)
 
 
+def test_grid_of_one_cell_is_listed_with_the_other_problems(tmp_path):
+    # ThetaGrid refused one cell only after parse_config had listed the dt problem alone
+    with pytest.raises(ValidationError) as err:
+        parse_config("mode: mfl-grid\nn_cells: 1\nT: 1\ndt: -1\n")
+    assert str(err.value) == "dt must be a positive number; n_cells must be an integer of at least 2"
+    spectral = _write(tmp_path, "s.yaml", f"mode: mfl-spectral\nn_modes: 1\nT: 0.02\noutput: {tmp_path}/s.csv\n")
+    assert run_cli(["simulate", "--config", spectral]) == 0
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == "t,re_c_1,im_c_1"
+
+
 def test_keys_of_any_type_are_refused_as_unknown():
     for text in ("1: 2\nfoo: 3\n", "kernel: {type: kuramoto, 1: 2, foo: 3}\n"):
         with pytest.raises(ValidationError, match=r"unknown (kernel )?keys \[1, 'foo'\]"):
             parse_config("mode: cl\nn_labels: 4\nT: 1\n" + text)
-
-
-def test_non_utf8_config_exits_two(tmp_path, capsys):
-    path = tmp_path / "run.yaml"
-    path.write_bytes(b"\xff\xfe\x00mode: ds\n")
-    assert run_cli(["simulate", "--config", str(path)]) == 2
-    assert _single_error_line(capsys).startswith(f"error: cannot decode config {str(path)!r}")
-
-
-def test_non_utf8_density_header_exits_two(tmp_path, capsys):
-    grid = _write(tmp_path, "g.yaml", "mode: mfl-grid\nn_cells: 2\nT: 0.0\n")
-    traj = tmp_path / "traj.csv"
-    traj.write_bytes(b"t,f_0\xff,f_1\n0.0,0.5,0.5\n")
-    assert run_cli(["transform", "--config", grid, "--input", str(traj)]) == 2
-    assert _single_error_line(capsys) == f"error: input {str(traj)!r} is not a density trajectory with 2 cells"
 
 
 def test_readme_documents_the_config_tables():

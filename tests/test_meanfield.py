@@ -30,6 +30,7 @@ from kuralim import (
     order_parameter,
     spectral_rhs,
 )
+from test_particles import _frozen_circle_velocity
 
 TWO_PI = 2.0 * np.pi
 
@@ -261,16 +262,6 @@ def test_linearized_operator_validation():
     # a higher harmonic shifts which mode pair carries the 1/2 eigenvalue
     ev = linearized_spectrum(linearized_operator(32, harmonic=3))
     assert abs(ev[0] - 0.5) < 1e-12 and abs(ev[1] - 0.5) < 1e-12
-
-
-def _frozen_circle_velocity(kernel, theta, nodes, masses):
-    """The transport velocity as ``circle_velocity`` gave it before
-    ``velocity_field`` was the only velocity method: the order parameter for
-    ``KuramotoSin``, otherwise one ``phi`` and one ``np.dot`` per angle."""
-    if isinstance(kernel, KuramotoSin):
-        z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
-        return kernel.coupling * (z * np.exp(-1j * theta)).imag
-    return np.array([np.dot(kernel.phi(t, nodes), masses) for t in theta])
 
 
 def _frozen_grid_loop(initial, kernel, dt, t_end, output_every=None):

@@ -168,45 +168,16 @@ def test_batch_keeps_exact_rows_next_to_special_ones():
     assert all(_same(g, math.fsum(r)) for g, r in zip(got, rows))
 
 
-def _frozen_row_sums(rows):
-    """``exact_row_sums`` as it was before its passes worked in place, kept
-    to pin the bits."""
-    rows = np.asarray(rows, dtype=float)
-    n = rows.shape[1]
-    if rows.size <= CUTOFF:
-        return np.array([math.fsum(r) for r in rows.tolist()], dtype=float)
-    m = (n + 1).bit_length()
-    limit = 2.0 ** (1023 - m)
-    peak = np.abs(rows).max(axis=1)
-    p = rows
-    direct = ()
-    if not (peak.min() > 0.0 and peak.max() < limit):
-        fast = (peak > 0.0) & (peak < limit)
-        direct = np.flatnonzero(~fast)
-        p = np.where(fast[:, None], rows, 0.0)
-        peak = peak[fast]
-    sigma = math.ldexp(1.0, math.frexp(peak.max(initial=0.0))[1] + m)
-    taus = []
-    for _ in range(2):
-        q = (p + sigma) - sigma
-        p = p - q
-        taus.append(q.sum(axis=1))
-        sigma *= 2.0 ** (m - 53)
-    out = taus[0] + taus[1]
-    if p.any():
-        left = p != 0.0
-        for r in np.flatnonzero(left.any(axis=1)):
-            out[r] = math.fsum([taus[0][r], taus[1][r]] + p[r][left[r]].tolist())
-    for r in direct:
-        out[r] = math.fsum(rows[r].tolist())
-    return out
+def _fsum_rows(rows):
+    """``math.fsum`` of each row in turn, as ``exact_row_sums`` promises: the
+    first row that fsum refuses raises."""
+    return [math.fsum(row) for row in rows.tolist()]
 
 
-def _frozen_mean_complex(values):
-    """``exact_mean_complex`` as it was, through the two-row array."""
+def _fsum_mean(values):
+    """``math.fsum`` of the real parts and of the imaginary parts, over ``len``."""
     n = len(values)
-    re, im = _frozen_row_sums(np.array([values.real, values.imag])).tolist()
-    return complex(re / n, im / n)
+    return complex(math.fsum(values.real.tolist()) / n, math.fsum(values.imag.tolist()) / n)
 
 
 def _outcome(f, *args):
@@ -230,7 +201,7 @@ SPECIALS = (None, np.inf, -np.inf, np.nan, 0.0, -0.0, 1e308)
     special_at=st.integers(0, 10**6),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_reductions_match_frozen_bodies_bitwise(kinds, n, scale, special, special_at, seed):
+def test_reductions_match_fsum_row_by_row_bitwise(kinds, n, scale, special, special_at, seed):
     # n runs past CUTOFF / 2 = 256 and 257 values, where a complex mean
     # leaves math.fsum, and past CUTOFF for the rows alone.
     rng = np.random.default_rng(seed)
@@ -242,6 +213,6 @@ def test_reductions_match_frozen_bodies_bitwise(kinds, n, scale, special, specia
     z.real, z.imag = rows[0], rows[-1]
     rows_before, z_before = rows.tobytes(), z.tobytes()
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _outcome(exact_row_sums, rows) == _outcome(_frozen_row_sums, rows)
-        assert _outcome(exact_mean_complex, z) == _outcome(_frozen_mean_complex, z)
+        assert _outcome(exact_row_sums, rows) == _outcome(_fsum_rows, rows)
+        assert _outcome(exact_mean_complex, z) == _outcome(_fsum_mean, z)
     assert rows.tobytes() == rows_before and z.tobytes() == z_before
