@@ -1,6 +1,5 @@
 """Configuration parsing and end-to-end command runs."""
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -21,32 +20,21 @@ import kuralim
 from kuralim import cli
 from kuralim import (
     TWO_PI,
-    CircularDensity,
-    DomainError,
-    FourierDensity,
     KuramotoSin,
-    LabelField,
     LabelGrid,
     OAPoint,
     OddTrig,
     ParseError,
-    ParticleState,
     TabulatedGradient,
     ThetaGrid,
     ValidationError,
-    cl_simulate,
-    discrete_twisted_state,
-    ds_simulate,
     manifold_field,
-    mfl_simulate_grid,
-    mfl_simulate_spectral,
     mfl_to_cl_circle,
     oa_cdf,
     oa_cell_averages,
     oa_density,
     oa_flow,
     oa_quantile,
-    twisted_field,
 )
 from kuralim.cli import (
     CSV_CHUNK_VALUES,
@@ -960,132 +948,14 @@ SIM_CONFIGS = {
 }
 
 
-def _frozen_build_initial(config):
-    """The initial state of each mode as ``simulate`` once built it: a
-    ``LabelField`` for cl, run by ``cl_simulate``."""
-    spec = config.initial
-    kind = spec["type"]
-    q = spec.get("q", 0.0)
-    p = OAPoint(spec["alpha"], spec["beta"]) if kind == "oa" else None
-    if kind == "file":
-        data = np.loadtxt(spec["path"], dtype=float, delimiter=",", ndmin=2)
-    if config.mode == "ds":
-        if kind == "uniform":
-            rng = np.random.default_rng(config.seed)
-            return ParticleState(rng.uniform(0.0, TWO_PI, config.size))
-        if kind == "twisted":
-            return discrete_twisted_state(config.size, spec["m"], q)
-        if kind == "oa":
-            return ParticleState(manifold_field(LabelGrid(config.size), p, q).values)
-        return ParticleState(data[:, 0])
-    if config.mode == "cl":
-        grid = LabelGrid(config.size)
-        if kind == "twisted":
-            return twisted_field(grid, spec["m"], q)
-        if kind == "oa":
-            return manifold_field(grid, p, q)
-        return LabelField(grid, data[:, 0])
-    if config.mode == "mfl-spectral":
-        if kind == "uniform":
-            return FourierDensity(np.zeros(config.size, dtype=complex))
-        if kind == "oa":
-            return FourierDensity.from_oa(p, config.size)
-        return FourierDensity(data[:, 0] + 1j * data[:, 1])
-    grid = ThetaGrid(config.size)
-    if kind == "uniform":
-        return CircularDensity(grid, np.full(config.size, 1.0 / TWO_PI))
-    if kind == "oa":
-        return oa_cell_averages(p, grid)
-    return CircularDensity(grid, data[:, 0])
-
-
-def _per_float_rows(config):
-    """The header and row generator of the per-float simulate writer, from
-    the frozen initial states and solver dispatch."""
-    initial = _frozen_build_initial(config)
-    schedule = (config.dt, config.t_end, config.output_every)
-    n = config.size
-    if config.mode in ("ds", "cl"):
-        simulate = ds_simulate if config.mode == "ds" else cl_simulate
-        traj = simulate(initial, config.kernel, *schedule)
-        header = ["t"] + [f"x_{j}" for j in range(n)]
-        return header, ([t, *state] for t, state in zip(traj.times, traj.states))
-    if config.mode == "mfl-grid":
-        traj = mfl_simulate_grid(initial, config.kernel, *schedule)
-        header = ["t"] + [f"f_{j}" for j in range(n)]
-        return header, ([t, *values] for t, values in zip(traj.times, traj.values))
-    traj = mfl_simulate_spectral(initial, *schedule)
-    header = ["t"] + [f"{part}_c_{k}" for k in range(1, n + 1) for part in ("re", "im")]
-
-    def rows_spectral():
-        for t, modes in zip(traj.times, traj.states):
-            row = [float(t)]
-            for c in modes:
-                row += [c.real, c.imag]
-            yield row
-
-    return header, rows_spectral()
-
-
-KERNEL_TEXTS = {
-    "kuramoto": "{type: kuramoto, coupling: 0.7}",
-    "odd-trig": "{type: odd-trig, coefficients: [1.0, -0.4, 0.2]}",
-    "tabulated": "{type: tabulated, offsets: [-3.2, -1.0, 0.0, 1.0, 3.2], "
-    "values: [0.0, 0.8, 0.0, -0.8, 0.0]}",
-}
-INITIAL_TEXTS = {
-    "uniform": "{type: uniform}",
-    "twisted": "{type: twisted, m: 2, q: 0.3}",
-    "oa": "{type: oa, alpha: 0.4, beta: 0.3}",
-    "file": "{type: file, path: init.csv}",
-}
-# Every kernel type with every initial type its mode takes; mfl-spectral
-# takes only the unit-coupling sine kernel.
-INITIAL_CASES = [
-    (mode, kernel, kind)
-    for mode, (_, _, kinds, _) in cli.MODES.items()
-    for kernel in (("kuramoto",) if mode == "mfl-spectral" else KERNEL_TEXTS)
-    for kind in kinds
-]
-
-
-@pytest.mark.parametrize("size", [1, 4])
-@pytest.mark.parametrize("mode, kernel, kind", INITIAL_CASES)
-def test_simulate_csv_bytes_match_the_frozen_initials_and_solvers(
-    tmp_path, monkeypatch, mode, kernel, kind, size
-):
-    monkeypatch.chdir(tmp_path)
-    size_key = cli.MODES[mode][0]
-    if mode == "mfl-grid":  # a density of unit mass on at least two cells
-        size += 1
-        rows = [repr((1 + 0.5 * float(np.cos(TWO_PI * j / size))) / TWO_PI) for j in range(size)]
-    elif mode == "mfl-spectral":  # decaying modes, re and im
-        rows = [f"{0.2 ** (k + 1)!r},{-0.1 * 0.2 ** (k + 1)!r}" for k in range(size)]
-    else:  # an angle just below zero, then spread angles
-        rows = [f"{-1e-17 if j == 0 else 0.9 * j}" for j in range(size)]
-    Path("init.csv").write_text("\n".join(rows) + "\n")
-    kernel_text = "kuramoto" if mode == "mfl-spectral" else KERNEL_TEXTS[kernel]
-    initial_text = INITIAL_TEXTS[kind]
-    if kind == "oa" and mode in ("ds", "cl"):  # rotated labels; a density has none
-        initial_text = initial_text.replace("}", ", q: -0.7}")
-    seed = "seed: 5\n" if mode == "ds" and kind == "uniform" else ""
-    text = (
-        f"mode: {mode}\n{size_key}: {size}\nkernel: {kernel_text}\ninitial: {initial_text}\n"
-        f"dt: 0.01\nT: 0.05\noutput_every: 0.02\n{seed}"
-    )
-    Path("run.yaml").write_text(text)
-    assert run_cli(["simulate", "--config", "run.yaml", "--output", "new.csv"]) == 0
-    _frozen_write_csv("old.csv", *_per_float_rows(parse_config(text)))
-    assert Path("new.csv").read_bytes() == Path("old.csv").read_bytes()
-
-
 def test_ds_and_cl_runs_of_one_file_initial_write_the_same_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("init.csv").write_text("-1e-17\n1.0\n2.5\n")
     for mode, size_key in (("ds", "N"), ("cl", "n_labels")):
         Path(f"{mode}.yaml").write_text(
             f"mode: {mode}\n{size_key}: 3\nT: 0.05\ndt: 0.01\n"
-            f"kernel: {KERNEL_TEXTS['tabulated']}\ninitial: {{type: file, path: init.csv}}\n"
+            "kernel: {type: tabulated, offsets: [-3.2, -1.0, 0.0, 1.0, 3.2], values: [0.0, 0.8, 0.0, -0.8, 0.0]}\n"
+            "initial: {type: file, path: init.csv}\n"
         )
         assert run_cli(["simulate", "--config", f"{mode}.yaml", "--output", f"{mode}.csv"]) == 0
     assert Path("ds.csv").read_bytes() == Path("cl.csv").read_bytes()
@@ -1407,324 +1277,6 @@ def test_depth_check_refuses_exactly_the_documents_past_the_limit(doc, flow, lim
                     cli._check_depth(text, loader)
             else:
                 cli._check_depth(text, loader)
-
-
-# ------------------------------------------------------------ config tables
-#
-# The key tables replaced three hand-coded readers.  Below is that code as
-# it was, and a property test that both give the same decision on configs
-# one change away from a valid one.
-
-_FROZEN_MODES = ("ds", "cl", "mfl-spectral", "mfl-grid")
-_FROZEN_SIZE_KEY = {"ds": "N", "cl": "n_labels", "mfl-spectral": "n_modes", "mfl-grid": "n_cells"}
-_FROZEN_TOP_KEYS = {"mode", "kernel", "dt", "T", "output_every", "initial", "output", "seed"} | set(
-    _FROZEN_SIZE_KEY.values()
-)
-_FROZEN_INITIAL_TYPES = {
-    "ds": ("uniform", "twisted", "oa", "file"),
-    "cl": ("twisted", "oa", "file"),
-    "mfl-spectral": ("uniform", "oa", "file"),
-    "mfl-grid": ("uniform", "oa", "file"),
-}
-_FROZEN_EXPONENT_FLOAT = re.compile(r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+")
-
-
-def _frozen_is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _frozen_finite_number(x):
-    """``x`` as a finite float, reading exponent-form strings; else None."""
-    if isinstance(x, str) and _FROZEN_EXPONENT_FLOAT.fullmatch(x):
-        x = float(x)
-    if _frozen_is_number(x) and abs(x) <= sys.float_info.max:
-        return float(x)
-    return None
-
-
-def _frozen_finite_numbers(xs):
-    """A list of finite numbers read by :func:`_frozen_finite_number`; else None."""
-    if not isinstance(xs, list):
-        return None
-    out = [_frozen_finite_number(x) for x in xs]
-    return None if None in out else out
-
-
-def _frozen_build_kernel(spec, problems):
-    if spec is None:
-        spec = "kuramoto"
-    if isinstance(spec, str):
-        spec = {"type": spec}
-    if not isinstance(spec, dict):
-        problems.append("kernel must be a name or a mapping")
-        return KuramotoSin()
-    kind = spec.get("type")
-    if kind == "kuramoto":
-        extra = set(spec) - {"type", "coupling"}
-        if extra:
-            problems.append(f"unknown kernel keys {sorted(extra)}")
-        coupling = _frozen_finite_number(spec.get("coupling", 1.0))
-        if coupling is None:
-            problems.append("kernel coupling must be a finite number")
-            coupling = 1.0
-        return KuramotoSin(coupling)
-    if kind == "odd-trig":
-        extra = set(spec) - {"type", "coefficients"}
-        if extra:
-            problems.append(f"unknown kernel keys {sorted(extra)}")
-        coeffs = _frozen_finite_numbers(spec.get("coefficients"))
-        if not coeffs:
-            problems.append("odd-trig kernel needs a nonempty list of finite coefficients")
-            return KuramotoSin()
-        return OddTrig(tuple(coeffs))
-    if kind == "tabulated":
-        extra = set(spec) - {"type", "offsets", "values", "periodic"}
-        if extra:
-            problems.append(f"unknown kernel keys {sorted(extra)}")
-        offsets = _frozen_finite_numbers(spec.get("offsets"))
-        values = _frozen_finite_numbers(spec.get("values"))
-        if offsets is None or values is None or len(offsets) != len(values) or len(offsets) < 2:
-            problems.append("tabulated kernel needs matching lists of finite offsets/values")
-            return KuramotoSin()
-        periodic = spec.get("periodic", True)
-        if not isinstance(periodic, bool):
-            problems.append("tabulated kernel periodic flag must be boolean")
-            periodic = True
-        try:
-            return TabulatedGradient(np.array(offsets), np.array(values), periodic)
-        except DomainError as exc:  # listed with the other problems, as parse_config now does
-            problems.append(str(exc))
-            return KuramotoSin()
-    problems.append(f"unknown kernel type {kind!r}")
-    return KuramotoSin()
-
-
-def _frozen_check_initial(spec, mode, problems) -> dict:
-    if not isinstance(spec, dict) or "type" not in spec:
-        problems.append("initial must be a mapping with a type key")
-        return {"type": "invalid"}
-    kind = spec["type"]
-    allowed = _FROZEN_INITIAL_TYPES.get(mode, ())
-    if kind not in allowed:
-        problems.append(
-            f"initial type {kind!r} not supported for mode {mode!r} "
-            f"(allowed: {', '.join(allowed)})"
-        )
-        return dict(spec)
-    keys = {
-        "uniform": {"type"},
-        "twisted": {"type", "m", "q"},
-        "oa": {"type", "alpha", "beta", "q"},
-        "file": {"type", "path"},
-    }[kind]
-    extra = set(spec) - keys
-    if extra:
-        problems.append(f"unknown initial keys {sorted(extra)}")
-    spec = dict(spec)
-    if kind == "twisted":
-        m = spec.get("m")
-        # m is used as a float, so a winding past the float range is refused
-        if not isinstance(m, int) or isinstance(m, bool) or abs(m) > sys.float_info.max:
-            problems.append("twisted initial needs integer winding m")
-    if kind == "oa":
-        alpha = spec["alpha"] = _frozen_finite_number(spec.get("alpha"))
-        beta = spec["beta"] = _frozen_finite_number(spec.get("beta"))
-        if alpha is None:
-            problems.append("oa initial needs a finite alpha")
-        if beta is None or not 0.0 <= beta <= 1.0:
-            problems.append("oa initial needs beta in [0, 1]")
-        if mode.startswith("mfl") and "q" in spec:
-            problems.append("oa initial q does not apply to density modes")
-    if kind in ("twisted", "oa") and "q" in spec:
-        spec["q"] = _frozen_finite_number(spec["q"])
-        if spec["q"] is None:
-            problems.append(f"{kind} initial q must be a finite number")
-    if kind == "file" and not isinstance(spec.get("path"), str):
-        problems.append("file initial needs a path string")
-    return spec
-
-
-def _frozen_parse_config(text: str) -> cli.RunConfig:
-    """Parse and validate a YAML run configuration.
-
-    Raises :class:`ParseError` for malformed documents and
-    :class:`ValidationError` listing every violation at once.
-    """
-    try:
-        # libyaml's parser when PyYAML has it; both give the same documents
-        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" (line {mark.line + 1})" if mark is not None else ""
-        raise ParseError(f"malformed config{where}: {exc}") from exc
-    if doc is None:
-        raise ParseError("empty config document")
-    if not isinstance(doc, dict):
-        raise ParseError("config must be a key-value mapping")
-
-    problems: list[str] = []
-    unknown = set(doc) - _FROZEN_TOP_KEYS
-    if unknown:
-        problems.append(f"unknown keys {sorted(unknown)}")
-
-    mode = doc.get("mode")
-    if mode not in _FROZEN_MODES:
-        problems.append(f"mode must be one of {', '.join(_FROZEN_MODES)}")
-        raise ValidationError("; ".join(problems))
-
-    size_key = _FROZEN_SIZE_KEY[mode]
-    wrong_sizes = [k for k in _FROZEN_SIZE_KEY.values() if k != size_key and k in doc]
-    if wrong_sizes:
-        problems.append(f"size keys {wrong_sizes} do not apply to mode {mode!r}")
-    size = doc.get(size_key)
-    least = 2 if mode == "mfl-grid" else 1  # ThetaGrid's rule, read before any grid is built
-    if not isinstance(size, int) or isinstance(size, bool) or size < least:
-        problems.append(f"{size_key} must be a positive integer")
-        size = 1
-    elif size > cli.MAX_SIZE:
-        problems.append(f"{size_key} must be at most {cli.MAX_SIZE}")
-
-    dt = _frozen_finite_number(doc.get("dt", 1e-3))
-    if dt is None or dt <= 0:
-        problems.append("dt must be a positive number")
-        dt = 1e-3
-    t_end = _frozen_finite_number(doc.get("T"))
-    if t_end is None or t_end < 0:
-        problems.append("T must be a nonnegative number")
-        t_end = 0.0
-    output_every = _frozen_finite_number(doc.get("output_every", 0.1))
-    if output_every is None or output_every <= 0:
-        problems.append("output_every must be a positive number")
-        output_every = 0.1
-
-    kernel = _frozen_build_kernel(doc.get("kernel"), problems)
-    if mode == "mfl-spectral" and not (
-        isinstance(kernel, KuramotoSin) and kernel.coupling == 1.0
-    ):
-        problems.append("mfl-spectral supports only the unit-coupling sine kernel")
-
-    if "initial" not in doc:
-        # default to the mode's uniform state; for label dynamics that is
-        # the identity field, i.e. the single twist
-        initial = {"type": "twisted", "m": 1} if mode == "cl" else {"type": "uniform"}
-    else:
-        initial = _frozen_check_initial(doc["initial"], mode, problems)
-
-    seed = doc.get("seed")
-    needs_seed = mode == "ds" and initial.get("type") == "uniform"
-    if needs_seed:
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            problems.append("uniform initial data requires a nonnegative integer seed")
-    elif seed is not None:
-        problems.append("seed only applies to ds runs with uniform initial data")
-
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append("output must be a path string")
-
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return cli.RunConfig(
-        mode=mode,
-        kernel=kernel,
-        size=size,
-        dt=dt,
-        t_end=t_end,
-        output_every=output_every,
-        initial=initial,
-        output=output,
-        seed=seed,
-    )
-
-
-_DIFF_BASES = [
-    {"mode": "ds", "N": 4, "T": 1, "initial": {"type": "uniform"}, "seed": 3},
-    {"mode": "ds", "N": 4, "dt": 0.01, "T": 1.0, "output_every": 0.1, "output": "run.csv",
-     "kernel": {"type": "odd-trig", "coefficients": [1.0, 0.5]},
-     "initial": {"type": "twisted", "m": 2, "q": 0.5}},
-    {"mode": "ds", "N": 4, "T": 1,
-     "kernel": {"type": "tabulated", "offsets": [-1.0, 1.0], "values": [1.0, -1.0], "periodic": False},
-     "initial": {"type": "oa", "alpha": 0.3, "beta": 0.2, "q": 0.1}},
-    {"mode": "cl", "n_labels": 8, "T": 1, "kernel": {"type": "kuramoto", "coupling": 1.5},
-     "initial": {"type": "twisted", "m": 1}},
-    {"mode": "cl", "n_labels": 8, "T": 1, "kernel": "kuramoto",
-     "initial": {"type": "oa", "alpha": 0.3, "beta": 0.2}},
-    {"mode": "cl", "n_labels": 8, "T": 0, "initial": {"type": "file", "path": "init.csv"}},
-    {"mode": "mfl-spectral", "n_modes": 8, "T": 1, "initial": {"type": "oa", "alpha": -0.3, "beta": 0.5}},
-    {"mode": "mfl-spectral", "n_modes": 8, "T": 1, "kernel": {"type": "kuramoto", "coupling": 1.0},
-     "initial": {"type": "uniform"}},
-    {"mode": "mfl-grid", "n_cells": 8, "T": 1, "initial": {"type": "oa", "alpha": 0.3, "beta": 0.2},
-     "kernel": {"type": "tabulated", "offsets": [-3.0, 0.0, 3.0], "values": [1.0, 0.0, -1.0]}},
-    {"mode": "mfl-grid", "n_cells": 8, "T": 1, "kernel": None, "initial": {"type": "file", "path": "f.csv"}},
-]
-
-
-def _diff_paths(base):
-    """The keys to change in ``base``: every top-level key, and in its
-    kernel and initial mappings their type's keys, ``type`` and one more."""
-    paths = [(key,) for key in (*sorted(_FROZEN_TOP_KEYS), "bogus")]
-    for part, tables in (("kernel", cli.KERNELS), ("initial", cli.INITIALS)):
-        kind = base[part]["type"] if isinstance(base.get(part), dict) else None
-        paths += [(part, key) for key in (*tables.get(kind, {}), "type", "bogus")]
-    return paths
-
-
-_DIFF_CASES = [(base, path) for base in _DIFF_BASES for path in _diff_paths(base)]
-_DELETE = object()
-_DIFF_VALUES = [
-    _DELETE, None, "x", "", [], {}, [1.0], [0.0, -1.0], [-1.0, 0.0, 1.0], [1.0, "x"],
-    {"type": "kuramoto"}, True, False, 0, 1, -1, 2, 0.5, -0.0, 1.0, -2.5, 2**1023, 10**400,
-    float("inf"), float("-inf"), float("nan"), "1e-1", "-2E0", "1e400", ".5e1", "1e-3x",
-    MAX_SIZE - 1, MAX_SIZE, MAX_SIZE + 1, 0.9999999999999999, "kuramoto", "odd-trig",
-    "tabulated", "uniform", "twisted", "oa", "file", *cli.MODES,
-]
-
-
-def _changed(base, path, value):
-    """``base`` with the key at ``path`` set to ``value``, or deleted."""
-    doc = json.loads(json.dumps(base))  # a deep copy
-    part = doc
-    for key in path[:-1]:
-        if not isinstance(part.get(key), dict):
-            part[key] = {}
-        part = part[key]
-    if value is _DELETE:
-        part.pop(path[-1], None)
-    else:
-        part[path[-1]] = value
-    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper))
-
-
-def _decision(parse, text):
-    """The config ``parse`` makes of ``text``, kernels by repr, or the
-    type of its refusal."""
-    try:
-        cfg = parse(text)
-    except kuralim.KuralimError as exc:
-        return type(exc)
-    return dataclasses.replace(cfg, kernel=repr(cfg.kernel))
-
-
-def test_diff_bases_are_valid():
-    for base in _DIFF_BASES:
-        assert isinstance(_decision(parse_config, yaml.safe_dump(base)), cli.RunConfig), base
-
-
-@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
-@given(case=st.sampled_from(_DIFF_CASES), value=st.sampled_from(_DIFF_VALUES))
-@example(case=(_DIFF_BASES[0], ("kernel",)), value={})
-@example(case=(_DIFF_BASES[0], ("kernel",)), value=[])
-@example(case=(_DIFF_BASES[1], ("kernel",)), value=None)
-@example(case=(_DIFF_BASES[1], ("kernel",)), value="odd-trig")
-@example(case=(_DIFF_BASES[2], ("kernel", "values")), value=[1.0, 0.0, -1.0])
-@example(case=(_DIFF_BASES[2], ("kernel", "offsets")), value=[0.0, -1.0])
-@example(case=(_DIFF_BASES[3], ("initial", "m")), value=True)
-@example(case=(_DIFF_BASES[0], ("seed",)), value=-1)
-@example(case=(_DIFF_BASES[6], ("initial", "beta")), value=1.0)
-@example(case=(_DIFF_BASES[8], ("initial", "q")), value=0.5)
-def test_parse_config_decides_as_the_frozen_readers(case, value):
-    text = _changed(*case, value)
-    assert _decision(parse_config, text) == _decision(_frozen_parse_config, text), text
 
 
 @pytest.mark.parametrize("mode, size_key", [("mfl-grid", "n_cells"), ("mfl-spectral", "n_modes")])

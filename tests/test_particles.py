@@ -379,44 +379,6 @@ def test_twisted_states_are_equilibria():
         assert np.max(np.abs(KuramotoSin().mean_interaction(s.positions))) < 1e-15
 
 
-
-@pytest.mark.parametrize(
-    "kernel",
-    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1)), KuramotoSin()],
-    ids=["tabulated", "odd-trig", "sin"],
-)
-@pytest.mark.parametrize("n", [64, 512])
-@pytest.mark.parametrize("cached", [True, False], ids=["cached", "per-node"])
-def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, cached):
-    # Both sides of the cache limit: the matrix has n * n entries.  The
-    # uncached side evaluates phi in blocks of BLOCK_VALUES // n rows.
-    monkeypatch.setattr(particles, "CACHE_VALUES", n * n if cached else n * n - 1)
-    calls = []
-    phi = type(kernel).phi
-
-    def counting_phi(self, x, y):
-        calls.append(np.shape(x))
-        return phi(self, x, y)
-
-    monkeypatch.setattr(type(kernel), "phi", counting_phi)
-    interfaces = np.arange(n) * (TWO_PI / n)
-    centers = interfaces + 0.5 * (TWO_PI / n)
-    generic = not isinstance(kernel, KuramotoSin)
-    rows = particles.BLOCK_VALUES // n
-    blocks = [(min(rows, n - start), 1) for start in range(0, n, rows)] if generic else []
-    field = kernel.velocity_field(interfaces, centers)
-    # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
-    assert calls == (blocks if cached else [])
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        masses = rng.random(n) / n
-        expected = _frozen_circle_velocity(kernel, interfaces, centers, masses)
-        calls.clear()
-        assert np.array_equal(field(masses), expected)
-        # the matrix is reused; above the limit the blocks come again
-        assert calls == ([] if cached else blocks)
-
-
 def _frozen_circle_velocity(kernel, theta, nodes, masses):
     """The transport velocity as ``circle_velocity`` gave it before
     ``velocity_field`` was the only velocity method: the order parameter for
@@ -425,13 +387,6 @@ def _frozen_circle_velocity(kernel, theta, nodes, masses):
         z = complex(np.dot(masses, np.cos(nodes)), np.dot(masses, np.sin(nodes)))
         return kernel.coupling * (z * np.exp(-1j * theta)).imag
     return np.array([np.dot(kernel.phi(t, nodes), masses) for t in theta])
-
-
-def _frozen_velocity_field(kernel, theta, nodes):
-    """``velocity_field``'s cached branch as it stood before it batched the
-    rows: one ``np.dot`` per row, frozen as the bitwise reference."""
-    rows = kernel.phi(np.asarray(theta, dtype=float)[:, None], nodes[None, :])
-    return lambda masses: np.array([np.dot(r, masses) for r in rows])
 
 
 def _mass_variants(n):
@@ -454,8 +409,8 @@ def _mass_variants(n):
 
 @pytest.mark.parametrize(
     "kernel",
-    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1))],
-    ids=["tabulated", "odd-trig"],
+    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1)), KuramotoSin()],
+    ids=["tabulated", "odd-trig", "sin"],
 )
 @pytest.mark.parametrize("n", [1, 64, 512, 513])
 @pytest.mark.parametrize("anchor", [False, True], ids=["grid", "anchor"])
@@ -465,12 +420,30 @@ def test_velocity_field_matches_frozen_dot_loop_bytes(monkeypatch, kernel, n, an
     interfaces = np.arange(n) * (TWO_PI / n)
     centers = interfaces + 0.5 * (TWO_PI / n)
     theta = np.zeros(1) if anchor else interfaces
-    frozen = _frozen_velocity_field(kernel, theta, centers)
-    for limit in (theta.size * n, theta.size * n - 1):  # kept matrix, then blocks on every call
-        monkeypatch.setattr(particles, "CACHE_VALUES", limit)
+    masses = _mass_variants(n)
+    expected = {name: _frozen_circle_velocity(kernel, theta, centers, m) for name, m in masses.items()}
+    calls = []
+    phi = type(kernel).phi
+
+    def counting_phi(self, x, y):
+        calls.append(np.shape(x))
+        return phi(self, x, y)
+
+    monkeypatch.setattr(type(kernel), "phi", counting_phi)
+    rows = max(1, particles.BLOCK_VALUES // n)
+    generic = not isinstance(kernel, KuramotoSin)
+    blocks = [(min(rows, theta.size - start), 1) for start in range(0, theta.size, rows)] if generic else []
+    for cached in (True, False):  # both sides of the limit: the matrix has theta.size * n entries
+        monkeypatch.setattr(particles, "CACHE_VALUES", theta.size * n - (not cached))
+        calls.clear()
         field = kernel.velocity_field(theta, centers)
-        for name, masses in _mass_variants(n).items():
-            assert field(masses).tobytes() == frozen(masses).tobytes(), (limit, name)
+        # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
+        assert calls == (blocks if cached else [])
+        for name, m in masses.items():
+            calls.clear()
+            assert field(m).tobytes() == expected[name].tobytes(), (cached, name)
+            # the matrix is reused; above the limit the blocks come again
+            assert calls == ([] if cached else blocks)
 
 
 FAST_KERNELS = [KuramotoSin(1.0), KuramotoSin(1.7), KuramotoSin(-0.3), OddTrig((1.0, -0.5)),
