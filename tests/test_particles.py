@@ -389,6 +389,43 @@ def _frozen_circle_velocity(kernel, theta, nodes, masses):
     return np.array([np.dot(kernel.phi(t, nodes), masses) for t in theta])
 
 
+@pytest.mark.parametrize(
+    "kernel",
+    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1)), KuramotoSin()],
+    ids=["tabulated", "odd-trig", "sin"],
+)
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "per-node"])
+def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, cached):
+    # Both sides of the cache limit: the matrix has n * n entries.  The
+    # uncached side evaluates phi in blocks of BLOCK_VALUES // n rows.
+    monkeypatch.setattr(particles, "CACHE_VALUES", n * n if cached else n * n - 1)
+    calls = []
+    phi = type(kernel).phi
+
+    def counting_phi(self, x, y):
+        calls.append(np.shape(x))
+        return phi(self, x, y)
+
+    monkeypatch.setattr(type(kernel), "phi", counting_phi)
+    interfaces = np.arange(n) * (TWO_PI / n)
+    centers = interfaces + 0.5 * (TWO_PI / n)
+    generic = not isinstance(kernel, KuramotoSin)
+    rows = particles.BLOCK_VALUES // n
+    blocks = [(min(rows, n - start), 1) for start in range(0, n, rows)] if generic else []
+    field = kernel.velocity_field(interfaces, centers)
+    # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
+    assert calls == (blocks if cached else [])
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        masses = rng.random(n) / n
+        expected = _frozen_circle_velocity(kernel, interfaces, centers, masses)
+        calls.clear()
+        assert np.array_equal(field(masses), expected)
+        # the matrix is reused; above the limit the blocks come again
+        assert calls == ([] if cached else blocks)
+
+
 def _mass_variants(n):
     """Masses of n cells: fresh, with ±0.0, as strided and reversed views,
     and over scales from 1e-300 to 1e300."""
