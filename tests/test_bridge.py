@@ -28,6 +28,7 @@ from kuralim import (
     wrap_label,
 )
 from kuralim.bridge import accumulate_drift, anchor_flux_series
+from test_particles import _count_phi_calls
 
 TWO_PI = 2.0 * np.pi
 
@@ -133,14 +134,7 @@ _TABLE = np.linspace(-np.pi, np.pi, 65)
 @pytest.mark.parametrize("n", [64, 512])
 def test_anchor_flux_builds_one_phi_row(monkeypatch, kernel, n):
     run = mfl_simulate_grid(oa_cell_averages(OAPoint(0.4, 0.3), ThetaGrid(n)), kernel, 0.002, 0.02)
-    calls = []
-    phi = type(kernel).phi
-
-    def counting_phi(self, x, y):
-        calls.append(np.shape(x))
-        return phi(self, x, y)
-
-    monkeypatch.setattr(type(kernel), "phi", counting_phi)
+    calls = _count_phi_calls(monkeypatch, kernel)
     anchor_flux_series(run, kernel)
     # one row of phi for the whole trajectory; KuramotoSin needs none
     assert calls == ([] if isinstance(kernel, KuramotoSin) else [(1, 1)])

@@ -244,13 +244,7 @@ def test_spectral_and_grid_headers(tmp_path):
 
 
 def test_transform_writes_field_and_drift_sidecar(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "g.yaml",
-        "mode: mfl-grid\nn_cells: 64\nkernel: kuramoto\ndt: 0.02\nT: 0.2\noutput_every: 0.02\n"
-        f"initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 0
+    cfg = _grid_run(tmp_path, "n_cells: 64\nkernel: kuramoto\ndt: 0.02\nT: 0.2\noutput_every: 0.02\n")
     assert run_cli(["transform", "--config", cfg, "--n-labels", "16"]) == 0
     text = (tmp_path / "g.transform.csv").read_text()
     lines = text.splitlines()
@@ -261,14 +255,11 @@ def test_transform_writes_field_and_drift_sidecar(tmp_path):
     assert len(sidecar["times"]) == 11
 
 
-def _grid_run(tmp_path):
-    """An 8-cell density run recorded every step, fine enough to transform."""
-    cfg = _write(
-        tmp_path,
-        "g.yaml",
-        "mode: mfl-grid\nn_cells: 8\nkernel: kuramoto\ndt: 0.01\nT: 0.05\noutput_every: 0.01\n"
-        f"initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n",
-    )
+def _grid_run(tmp_path, head="n_cells: 8\nkernel: kuramoto\ndt: 0.01\nT: 0.05\noutput_every: 0.01\n"):
+    """The config path of a finished density run of ``head`` from an OA
+    initial; by default 8 cells recorded every step, fine enough to transform."""
+    text = f"mode: mfl-grid\n{head}initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n"
+    cfg = _write(tmp_path, "g.yaml", text)
     assert run_cli(["simulate", "--config", cfg]) == 0
     return cfg
 
@@ -305,13 +296,7 @@ def test_transform_rejects_non_finite_density(tmp_path, capsys):
 
 
 def test_transform_refuses_coarse_recording(tmp_path, capsys):
-    cfg = _write(
-        tmp_path,
-        "g.yaml",
-        "mode: mfl-grid\nn_cells: 64\nkernel: kuramoto\ndt: 0.002\nT: 0.4\noutput_every: 0.1\n"
-        f"initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 0
+    cfg = _grid_run(tmp_path, "n_cells: 64\nkernel: kuramoto\ndt: 0.002\nT: 0.4\noutput_every: 0.1\n")
     # the stored CSV has no drift column, and snapshots every 0.1 are too
     # coarse for the fallback quadrature
     assert run_cli(["transform", "--config", cfg]) == 2
@@ -996,12 +981,7 @@ def test_transform_csv_bytes_match_per_float_writer_at_the_edges(tmp_path, monke
 
 @pytest.mark.parametrize("n_labels", [1, 5])
 def test_transform_of_a_single_row_density_csv_matches_per_float_writer(tmp_path, n_labels):
-    cfg = _write(
-        tmp_path, "g.yaml",
-        "mode: mfl-grid\nn_cells: 8\nkernel: kuramoto\nT: 0.0\n"
-        f"initial: {{type: oa, alpha: 0.4, beta: 0.2}}\noutput: {tmp_path}/g.csv\n",
-    )
-    assert run_cli(["simulate", "--config", cfg]) == 0
+    cfg = _grid_run(tmp_path, "n_cells: 8\nkernel: kuramoto\nT: 0.0\n")
     assert len((tmp_path / "g.csv").read_text().splitlines()) == 2
     result = _assert_transform_bytes(tmp_path, cfg, n_labels)
     assert result.fields.shape == (1, n_labels)

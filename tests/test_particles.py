@@ -389,41 +389,51 @@ def _frozen_circle_velocity(kernel, theta, nodes, masses):
     return np.array([np.dot(kernel.phi(t, nodes), masses) for t in theta])
 
 
-@pytest.mark.parametrize(
+def _count_phi_calls(monkeypatch, kernel) -> list:
+    """The shape of ``x`` at each later call of ``kernel.phi``."""
+    calls, phi = [], type(kernel).phi
+    monkeypatch.setattr(type(kernel), "phi", lambda self, x, y: calls.append(np.shape(x)) or phi(self, x, y))
+    return calls
+
+
+def _check_velocity_field(monkeypatch, kernel, theta, centers, masses, caches=(True, False)):
+    """``kernel.velocity_field(theta, centers)`` against the frozen dot loop,
+    byte for byte, at each of ``masses``, on the ``caches`` sides of the
+    cache limit (the matrix has ``theta.size * centers.size`` entries)."""
+    expected = {name: _frozen_circle_velocity(kernel, theta, centers, m) for name, m in masses.items()}
+    calls = _count_phi_calls(monkeypatch, kernel)
+    rows = max(1, particles.BLOCK_VALUES // centers.size)
+    generic = not isinstance(kernel, KuramotoSin)
+    blocks = [(min(rows, theta.size - start), 1) for start in range(0, theta.size, rows)] if generic else []
+    for cached in caches:
+        monkeypatch.setattr(particles, "CACHE_VALUES", theta.size * centers.size - (not cached))
+        calls.clear()
+        field = kernel.velocity_field(theta, centers)
+        # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
+        assert calls == (blocks if cached else [])
+        for name, m in masses.items():
+            calls.clear()
+            assert field(m).tobytes() == expected[name].tobytes(), (cached, name)
+            # the matrix is reused; above the limit the blocks come again
+            assert calls == ([] if cached else blocks)
+
+
+VELOCITY_KERNELS = pytest.mark.parametrize(
     "kernel",
     [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1)), KuramotoSin()],
     ids=["tabulated", "odd-trig", "sin"],
 )
+
+
+@VELOCITY_KERNELS
 @pytest.mark.parametrize("n", [64, 512])
 @pytest.mark.parametrize("cached", [True, False], ids=["cached", "per-node"])
 def test_velocity_field_matches_circle_velocity_bitwise(monkeypatch, kernel, n, cached):
-    # Both sides of the cache limit: the matrix has n * n entries.  The
-    # uncached side evaluates phi in blocks of BLOCK_VALUES // n rows.
-    monkeypatch.setattr(particles, "CACHE_VALUES", n * n if cached else n * n - 1)
-    calls = []
-    phi = type(kernel).phi
-
-    def counting_phi(self, x, y):
-        calls.append(np.shape(x))
-        return phi(self, x, y)
-
-    monkeypatch.setattr(type(kernel), "phi", counting_phi)
-    interfaces = np.arange(n) * (TWO_PI / n)
-    centers = interfaces + 0.5 * (TWO_PI / n)
-    generic = not isinstance(kernel, KuramotoSin)
-    rows = particles.BLOCK_VALUES // n
-    blocks = [(min(rows, n - start), 1) for start in range(0, n, rows)] if generic else []
-    field = kernel.velocity_field(interfaces, centers)
-    # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
-    assert calls == (blocks if cached else [])
+    # The grid solver's n interfaces against n centers, at random masses.
     rng = np.random.default_rng(n)
-    for _ in range(5):
-        masses = rng.random(n) / n
-        expected = _frozen_circle_velocity(kernel, interfaces, centers, masses)
-        calls.clear()
-        assert np.array_equal(field(masses), expected)
-        # the matrix is reused; above the limit the blocks come again
-        assert calls == ([] if cached else blocks)
+    interfaces = np.arange(n) * (TWO_PI / n)
+    masses = {k: rng.random(n) / n for k in range(5)}
+    _check_velocity_field(monkeypatch, kernel, interfaces, interfaces + 0.5 * (TWO_PI / n), masses, (cached,))
 
 
 def _mass_variants(n):
@@ -444,43 +454,15 @@ def _mass_variants(n):
     }
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [TabulatedGradient(_TABLE, -np.sin(_TABLE), periodic=True), OddTrig((1.0, 0.3, 0.1)), KuramotoSin()],
-    ids=["tabulated", "odd-trig", "sin"],
-)
+@VELOCITY_KERNELS
 @pytest.mark.parametrize("n", [1, 64, 512, 513])
 @pytest.mark.parametrize("anchor", [False, True], ids=["grid", "anchor"])
 def test_velocity_field_matches_frozen_dot_loop_bytes(monkeypatch, kernel, n, anchor):
     # The grid solver asks for n interfaces against n centers; the bridge's
     # anchor flux asks for the single point 0 against n centers.
     interfaces = np.arange(n) * (TWO_PI / n)
-    centers = interfaces + 0.5 * (TWO_PI / n)
     theta = np.zeros(1) if anchor else interfaces
-    masses = _mass_variants(n)
-    expected = {name: _frozen_circle_velocity(kernel, theta, centers, m) for name, m in masses.items()}
-    calls = []
-    phi = type(kernel).phi
-
-    def counting_phi(self, x, y):
-        calls.append(np.shape(x))
-        return phi(self, x, y)
-
-    monkeypatch.setattr(type(kernel), "phi", counting_phi)
-    rows = max(1, particles.BLOCK_VALUES // n)
-    generic = not isinstance(kernel, KuramotoSin)
-    blocks = [(min(rows, theta.size - start), 1) for start in range(0, theta.size, rows)] if generic else []
-    for cached in (True, False):  # both sides of the limit: the matrix has theta.size * n entries
-        monkeypatch.setattr(particles, "CACHE_VALUES", theta.size * n - (not cached))
-        calls.clear()
-        field = kernel.velocity_field(theta, centers)
-        # the blocks once, kept as one matrix, on the cached side; KuramotoSin builds none
-        assert calls == (blocks if cached else [])
-        for name, m in masses.items():
-            calls.clear()
-            assert field(m).tobytes() == expected[name].tobytes(), (cached, name)
-            # the matrix is reused; above the limit the blocks come again
-            assert calls == ([] if cached else blocks)
+    _check_velocity_field(monkeypatch, kernel, theta, interfaces + 0.5 * (TWO_PI / n), _mass_variants(n))
 
 
 FAST_KERNELS = [KuramotoSin(1.0), KuramotoSin(1.7), KuramotoSin(-0.3), OddTrig((1.0, -0.5)),
