@@ -8,11 +8,16 @@ tree imports that tree's ``kuralim.cli`` and runs every catalogue entry
 through ``run_cli``, each in its own empty directory with the entry's input
 files written first.  This process then compares exit codes, stdout, stderr
 and every file left in the directory, byte for byte, after dropping
-``runtime_s`` from verify JSON, and prints one line per difference.
+``runtime_s`` from verify JSON, and prints one line per difference.  It
+also checks the CLI's contract on every command of the change: the exit
+code is 0, 1 or 2, an exit 2 writes exactly one ``error: `` line to
+stderr, and no command warns or raises; it prints one line per violation.
 
-Exit status: 0 when every difference is named by an ``--expect`` id; 1 on
-any other difference, or on an ``--expect`` id that shows none, so that a
-stale id cannot hide a later change; 2 when a tree cannot be run.
+Exit status: 0 when every difference is named by an ``--expect`` id and
+no command breaks the contract; 1 on any other difference, on an
+``--expect`` id that shows none, so that a stale id cannot hide a later
+change, or on any contract violation, which ``--expect`` never excuses; 2
+when a tree cannot be run.
 """
 from __future__ import annotations
 
@@ -100,6 +105,7 @@ LONG_KEYS = (*MODES.values(), "T")
 LONG_VALUES = (MAX_SIZE - 1, MAX_SIZE)
 
 RUNTIME = re.compile(rb'"runtime_s": [^,\n]*')
+ERROR_LINE = re.compile(r"error: [^\n]*\n")
 
 
 class Entry(NamedTuple):
@@ -325,13 +331,32 @@ def compare(ids, parent: dict, change: dict) -> list:
     return differences
 
 
-def verdict(differences: list, expect) -> tuple:
-    """The report lines and the exit status for ``differences``, given the
-    ids expected to differ."""
+def contract(ids, results: dict) -> list:
+    """``(id, what)`` for each way a command of ``results`` breaks the CLI's
+    contract: it raises, exits with a code other than 0, 1 or 2, exits 2
+    without exactly one ``error: `` line on stderr, or prints a
+    ``warning:`` line."""
+    violations = []
+    for id in ids:
+        for k, (code, _, err) in enumerate(results[id].runs, 1):
+            if isinstance(code, str):
+                violations.append((id, f"command {k}: raised {code}"))
+            elif code not in (0, 1, 2):
+                violations.append((id, f"command {k}: exit code {code!r}"))
+            elif code == 2 and not ERROR_LINE.fullmatch(err):
+                violations.append((id, f"command {k}: exit code 2 without one 'error: ' line: {err[:80]!r}"))
+            violations += [(id, f"command {k}: {line}") for line in err.splitlines() if line.startswith("warning:")]
+    return violations
+
+
+def verdict(differences: list, violations: list, expect) -> tuple:
+    """The report lines and the exit status for ``differences`` and contract
+    ``violations``, given the ids expected to differ."""
     expect, different = set(expect), {id for id, _ in differences}
     lines = [f"{id}: {what}{' (expected)' if id in expect else ''}" for id, what in differences]
+    lines += [f"{id}: contract: {what}" for id, what in violations]
     lines += [f"--expect {id}: no difference; remove the id" for id in sorted(expect - different)]
-    return lines, int(bool(expect ^ different))
+    return lines, int(bool(expect ^ different or violations))
 
 
 def main(argv=None) -> int:
@@ -361,11 +386,14 @@ def main(argv=None) -> int:
             print("error: a tree could not run the catalogue", file=sys.stderr)
             return 2
         results = {side: pickle.loads(Path(path).read_bytes()) for side, (_, path) in children.items()}
-    differences = compare([entry.id for entry in entries], results["parent"], results["change"])
-    lines, status = verdict(differences, args.expect)
+    ids = [entry.id for entry in entries]
+    differences = compare(ids, results["parent"], results["change"])
+    violations = contract(ids, results["change"])
+    lines, status = verdict(differences, violations, args.expect)
     for line in lines:
         print(line)
-    print(f"{len(entries)} entries, {len(differences)} differences, {time.perf_counter() - start:.1f} s")
+    print(f"{len(entries)} entries, {len(differences)} differences, {len(violations)} contract violations, "
+          f"{time.perf_counter() - start:.1f} s")
     return status
 
 

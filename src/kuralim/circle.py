@@ -204,10 +204,11 @@ class EmpiricalMeasure:
             raise DomainError(f"unknown space {self.space!r}")
         if not np.all(np.isfinite(pos)):
             raise DomainError("atom positions must be finite")
-        if np.any(w < 0):
+        # the comparisons are negated, so that a NaN weight is refused too
+        if not np.all(w >= 0):
             raise DomainError("weights must be nonnegative")
         total = float(w.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise NonNormalized(f"weights sum to {total!r}, not 1 within 1e-12")
         frozen(self, "positions", wrap_angle(pos) if self.space == "circle" else pos)
 
@@ -227,9 +228,10 @@ class CdfFn:
         vals = frozen(self, "values", self.values)
         if vals.shape != (self.grid.n_cells + 1,):
             raise DomainError("CDF needs n_cells + 1 values (nodes plus endpoint)")
-        if abs(vals[0]) > 1e-12 or abs(vals[-1] - 1.0) > 1e-12:
+        # the comparisons are negated, so that a NaN value is refused too
+        if not (abs(vals[0]) <= 1e-12 and abs(vals[-1] - 1.0) <= 1e-12):
             raise DomainError("CDF must run from 0 at angle 0 to 1 at angle 2*pi")
-        if np.any(np.diff(vals) < 0):
+        if not np.all(np.diff(vals) >= 0):
             raise DomainError("CDF values must be nondecreasing")
 
     @cached_property

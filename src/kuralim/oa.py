@@ -64,7 +64,9 @@ class OAPoint:
 def _poisson_denominator(p: OAPoint, psi):
     # 1 - 2b cos(psi) + b^2, written so that it does not cancel at the peak
     b = p.beta
-    return (1.0 - b) ** 2 + 4.0 * b * np.sin(0.5 * psi) ** 2
+    with np.errstate(invalid="ignore"):  # an infinite angle gives NaN, as a NaN angle does
+        s = np.sin(0.5 * psi)
+    return (1.0 - b) ** 2 + 4.0 * b * s ** 2
 
 
 def oa_density(p: OAPoint, theta):
@@ -176,10 +178,13 @@ def oa_partials(p: OAPoint, theta):
     d_psi = _poisson_denominator(p, psi)
     d_a = _poisson_denominator(p, p.alpha)
 
-    t_prime_psi = (b * np.cos(psi) - b * b) / d_psi
+    with np.errstate(invalid="ignore"):  # an infinite angle gives NaN, as a NaN angle does
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+
+    t_prime_psi = (b * cos_psi - b * b) / d_psi
     t_prime_alpha = (b * np.cos(p.alpha) - b * b) / d_a
     df_dalpha = (t_prime_psi - t_prime_alpha) / np.pi
-    df_dbeta = (np.sin(psi) / d_psi - np.sin(p.alpha) / d_a) / np.pi
+    df_dbeta = (sin_psi / d_psi - np.sin(p.alpha) / d_a) / np.pi
     df_dtheta = oa_density(p, th)
     dc_dalpha = -t_prime_alpha / np.pi
     dc_dbeta = -np.sin(p.alpha) / (np.pi * d_a)

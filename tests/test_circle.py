@@ -392,6 +392,13 @@ def test_empirical_measure_validation():
     assert np.isclose(m.positions[0], TWO_PI - 0.1)  # circle wrap
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.nan, np.nan]], ids=["one", "all"])
+def test_empirical_measure_refuses_nan_weights(weights):
+    # NaN passed both the sign and the sum check, and the quantile then read an atom
+    with pytest.raises(DomainError, match="weights must be nonnegative"):
+        EmpiricalMeasure(np.array([0.1, 0.2]), np.array(weights))
+
+
 def test_empirical_quantile_two_atom_step():
     # breakpoint convention: xi == F(atom) still selects the atom
     m = EmpiricalMeasure(np.array([-1.0, 1.0]), np.array([1.0 / 3.0, 2.0 / 3.0]), "line")
@@ -423,6 +430,14 @@ def test_cdf_fn_validation():
         CdfFn(g, np.array([0.0, 0.5, 0.4, 0.8, 1.0]))  # decreasing
     with pytest.raises(DomainError):
         CdfFn(g, np.array([0.1, 0.5, 0.6, 0.8, 1.0]))  # wrong endpoint
+
+
+@pytest.mark.parametrize("values", [[0.0, np.nan, 1.0], [0.0, 0.5, np.nan], [np.nan] * 3],
+                         ids=["inner", "last", "all"])
+def test_cdf_fn_refuses_nan_values(values):
+    # NaN passed the endpoint and the order checks, and QuantileFn accepted the CDF
+    with pytest.raises(DomainError):
+        CdfFn(ThetaGrid(2), np.array(values))
 
 
 @pytest.mark.parametrize("values", [[0.0, 1e308], [1e308, 1e308]], ids=["product", "sum"])

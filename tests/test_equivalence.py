@@ -65,6 +65,7 @@ def test_catalogue_holds_every_group(entries):
     assert len(groups["one-change"]) > 8500
     assert eq.MAX_SIZE == cli.MAX_SIZE  # the one-change values sit on the CLI's size limit
     assert eq.SUITES == tuple(cli.SUITES)
+    assert eq.MODES == {mode: key for mode, (key, *_) in cli.MODES.items()}
 
 
 def test_one_change_bases_are_valid():
@@ -89,8 +90,36 @@ def test_comparison_reports_each_difference_and_honours_expect():
         ("b", "command 1: exit code 2 (parent) != 1 (change)"),
         ("b", "command 1: stderr: line 1, column 8: b'one\\n' (parent) != b'two\\n' (change)"),
     ]
-    assert eq.verdict(differences, [])[1] == 1
-    lines, status = eq.verdict(differences, ["a", "b"])
+    assert eq.verdict(differences, [], [])[1] == 1
+    lines, status = eq.verdict(differences, [], ["a", "b"])
     assert status == 0 and all(line.endswith("(expected)") for line in lines)
-    lines, status = eq.verdict(differences, ["a", "b", "c"])
+    lines, status = eq.verdict(differences, [], ["a", "b", "c"])
     assert status == 1 and lines[-1] == "--expect c: no difference; remove the id"
+
+
+def test_contract_reports_each_violation_and_expect_never_excuses_one():
+    faults = {
+        "raises": ("ValueError: boom", "", ""),
+        "exit-3": (3, "", ""),
+        "two-lines": (2, "", "error: one\nerror: two\n"),
+        "no-prefix": (2, "", "usage: kuralim\n"),
+        "warns": (0, "", "warning: RuntimeWarning: overflow encountered in exp\n"),
+    }
+    clean = eq.Result([(0, "", ""), (1, "{}\n", "spectrum: FAIL\n"), (2, "", "error: bad value\n")], {})
+    parent = {"clean": clean, **{id: eq.Result([(0, "", "")], {}) for id in faults}}
+    change = {"clean": clean, **{id: eq.Result([run], {}) for id, run in faults.items()}}
+    violations = eq.contract(list(change), change)
+    assert violations == [
+        ("raises", "command 1: raised ValueError: boom"),
+        ("exit-3", "command 1: exit code 3"),
+        ("two-lines", "command 1: exit code 2 without one 'error: ' line: 'error: one\\nerror: two\\n'"),
+        ("no-prefix", "command 1: exit code 2 without one 'error: ' line: 'usage: kuralim\\n'"),
+        ("warns", "command 1: warning: RuntimeWarning: overflow encountered in exp"),
+    ]
+    differences = eq.compare(list(change), parent, change)
+    assert {id for id, _ in differences} == set(faults)
+    for expect in ([], list(faults)):
+        lines, status = eq.verdict(differences, violations, expect)
+        assert status == 1
+        assert [line for line in lines if ": contract: " in line] == [f"{id}: contract: {what}" for id, what in violations]
+    assert eq.contract(["clean"], change) == []

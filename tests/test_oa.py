@@ -194,6 +194,20 @@ def test_partials_against_central_differences():
     assert dft == oa_density(OAPoint(2.0, 0.1), 0.2)
 
 
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+def test_family_fields_at_a_non_finite_angle_are_nan_without_a_warning(theta):
+    # numpy warned "invalid value encountered in sin" at an infinite angle
+    p = OAPoint(0.4, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        density = oa_density(p, np.array([1.0, theta]))
+        *fields, dca, dcb = oa_partials(p, np.array([1.0, theta]))
+    assert density[0] == oa_density(p, 1.0) and np.isnan(density[1])
+    for field, finite in zip(fields, oa_partials(p, 1.0)):
+        assert field[0] == finite and np.isnan(field[1])
+    assert (dca, dcb) == oa_partials(p, 1.0)[3:]
+
+
 def test_flow_matches_rk4():
     p0 = OAPoint(1.1, 0.25)
     rhs = lambda y: y * (1.0 - y**2) / 2.0

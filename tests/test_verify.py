@@ -421,7 +421,11 @@ def test_verify_all_writes_the_registered_reports(tmp_path, capsys):
     out = tmp_path / "verify.json"
     assert run_cli(["verify", "all", "--output", str(out)]) == 0
     capsys.readouterr()
-    reports = json.loads(out.read_text())
+
+    def refuse(constant):  # a bare NaN or Infinity is not JSON
+        raise ValueError(f"not strict JSON: {constant}")
+
+    reports = json.loads(out.read_text(), parse_constant=refuse)
     for report in reports:
         assert report.pop("runtime_s") >= 0.0
         assert report.pop("max_residual") <= report["tolerance"]
