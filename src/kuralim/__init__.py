@@ -69,7 +69,8 @@ try:
         linearized_spectrum,
         mfl_simulate_grid,
         mfl_simulate_spectral,
-        order_parameter,
+        moments,
+        oa_defect,
         spectral_rhs,
     )
     from .oa import (

@@ -46,13 +46,17 @@ def wrap_angle(theta):
     An array comes back as a new float array.  Its entries in the open
     interval ``(0, 2*pi)`` come back as they are, which is what ``np.mod``
     returns for them; the others go through ``np.mod`` twice, since one
-    rounds a tiny negative angle up to ``2*pi``.  ``-0.0`` becomes ``+0.0``.
+    rounds a tiny negative angle up to ``2*pi``.  ``-0.0`` becomes ``+0.0``,
+    and ``+-inf`` becomes NaN, as in the other wraps and the distances.
     """
     if np.ndim(theta) == 0:
-        return np.mod(np.mod(theta, TWO_PI), TWO_PI)
+        with np.errstate(invalid="ignore"):  # np.mod warns at +-inf
+            return np.mod(np.mod(theta, TWO_PI), TWO_PI)
     out = np.array(theta, dtype=float)
     outside = ~((out > 0.0) & (out < TWO_PI))
-    out[outside] = np.mod(np.mod(out[outside], TWO_PI), TWO_PI)
+    if outside.any():  # the common case of none costs no np.errstate
+        with np.errstate(invalid="ignore"):
+            out[outside] = np.mod(np.mod(out[outside], TWO_PI), TWO_PI)
     return out
 
 
@@ -63,18 +67,21 @@ def wrap_pm_pi(theta):
 
 def wrap_label(xi):
     """Canonical label representative in ``[0, 1)``: ``np.mod`` twice, as :func:`wrap_angle`."""
-    return np.mod(np.mod(xi, 1.0), 1.0)
+    with np.errstate(invalid="ignore"):
+        return np.mod(np.mod(xi, 1.0), 1.0)
 
 
 def circle_distance(a, b):
     """Geodesic distance on the circle of circumference ``2*pi``."""
-    d = np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), TWO_PI)
+    with np.errstate(invalid="ignore"):
+        d = np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), TWO_PI)
     return np.minimum(d, TWO_PI - d)
 
 
 def label_distance(a, b):
     """Geodesic distance on the label circle of circumference one."""
-    d = np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), 1.0)
+    with np.errstate(invalid="ignore"):
+        d = np.mod(np.asarray(a, dtype=float) - np.asarray(b, dtype=float), 1.0)
     return np.minimum(d, 1.0 - d)
 
 

@@ -36,8 +36,9 @@ class LabelField:
             raise DomainError(
                 f"values shape {vals.shape} does not match {self.grid.n_labels} labels"
             )
-        with np.errstate(invalid="ignore"):  # inf wraps to NaN, which the integrator refuses
-            frozen(self, "values", wrap_angle(vals))
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("initial state contains non-finite components")
+        frozen(self, "values", wrap_angle(vals))
 
 
 def cl_rhs(field: LabelField, kernel: InteractionKernel) -> np.ndarray:

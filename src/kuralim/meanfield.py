@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _rk4
 from ._rk4 import Trajectory, integrate_fixed, record_stride
-from .circle import CircularDensity, ThetaGrid, _readonly, frozen, is_size
+from .circle import CircularDensity, ThetaGrid, _readonly, frozen, is_size, wrap_angle
 from .errors import CflViolation, DomainError, TailBlowup
 from .oa import OAPoint
 from .particles import InteractionKernel
@@ -67,23 +67,34 @@ class FourierDensity:
         return cls(a ** np.arange(1, n_modes + 1))
 
 
-def order_parameter(density) -> complex:
-    """First circular moment ``c_1 = integral exp(-i theta) f dtheta``.
+def moments(state, n) -> np.ndarray:
+    """Circular moments ``c_k = integral exp(-i k theta) f``, ``k = 1 .. n``: a
+    :class:`FourierDensity`'s modes, a :class:`CircularDensity`'s cell sums over
+    ``sinc(k h / 2)`` (undoing the cell averaging), or means over 1-d angle arrays."""
+    fourier, grid = isinstance(state, FourierDensity), isinstance(state, CircularDensity)
+    most = len(state.modes) if fourier else state.grid.n_cells // 2 if grid else np.inf
+    if not (is_size(n, 1) and n <= most):
+        raise DomainError(f"need an integer count of moments in [1, {most}], got {n!r}")
+    k = np.arange(1, n + 1)
+    if fourier:
+        return state.modes[:n]
+    if grid:
+        g = state.grid
+        sums = np.exp(-1j * np.outer(k, g.nodes + 0.5 * g.spacing)) @ state.values
+        return sums * g.spacing / np.sinc(k / g.n_cells)
+    x = np.asarray(state, dtype=float)
+    if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+        raise DomainError("moments need a nonempty 1-d array of finite angles")
+    return np.exp(-1j * np.outer(k, wrap_angle(x))).mean(axis=1)
 
-    On the wrapped-Cauchy family this is ``beta exp(i alpha)``; its
-    magnitude measures synchrony (0 flat, 1 fully clustered).
-    """
-    if isinstance(density, FourierDensity):
-        return complex(density.modes[0])
-    if isinstance(density, CircularDensity):
-        # exact moment of the piecewise-constant density built from cell
-        # averages: average of exp(-i theta) over a cell carries the
-        # factor exp(-i h/2) sinc(h/2) relative to the left node
-        h = density.grid.spacing
-        z = np.exp(-1j * (density.grid.nodes + 0.5 * h))
-        factor = np.sin(0.5 * h) / (0.5 * h)
-        return complex(np.sum(z * density.values) * h * factor)
-    raise DomainError(f"unsupported density type {type(density).__name__}")
+
+def oa_defect(c) -> float:
+    """``max_k |c_k - c_1^k|``, how far moments ``c_1 .. c_n`` lie from the Ott-Antonsen family."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 1 or c.size == 0:
+        raise DomainError("oa_defect needs a nonempty 1-d array of moments")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite c or c_1^k: inf or NaN
+        return np.max(np.abs(c - c[0] ** np.arange(1, c.size + 1)))
 
 
 @lru_cache(maxsize=16)

@@ -35,8 +35,9 @@ class ParticleState:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size == 0:
             raise DomainError("positions must be a nonempty 1-d array")
-        with np.errstate(invalid="ignore"):  # inf wraps to NaN, which the integrator refuses
-            frozen(self, "positions", wrap_angle(pos))
+        if not np.all(np.isfinite(pos)):
+            raise DomainError("initial state contains non-finite components")
+        frozen(self, "positions", wrap_angle(pos))
 
 
 # Values of phi evaluated at once by the generic reductions: one row block.

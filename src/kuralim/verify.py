@@ -47,6 +47,7 @@ from .meanfield import (
     linearized_operator,
     mfl_simulate_grid,
     mfl_simulate_spectral,
+    oa_defect,
 )
 from .oa import OAPoint, oa_cdf, oa_cell_averages, oa_flow, oa_quantile, oa_shift
 from .particles import KuramotoSin
@@ -271,16 +272,13 @@ def verify_oa_closure(
         modes0[1] = off_manifold
     traj = mfl_simulate_spectral(FourierDensity(modes0), dt, t_end, output_every)
 
-    powers = np.arange(1, max_check + 1)
     closure_defect = 0.0
     flow_deviation = 0.0
     for t, modes in zip(traj.times, traj.states):
         c1 = modes[0]
         if abs(c1) > 0.9:
             break
-        closure_defect = np.maximum(
-            closure_defect, np.max(np.abs(modes[:max_check] - c1**powers))
-        )
+        closure_defect = np.maximum(closure_defect, oa_defect(modes[:max_check]))
         beta_t = oa_flow(OAPoint(0.0, abs(a0)), float(t)).beta
         flow_deviation = np.maximum(flow_deviation, abs(abs(c1) - beta_t))
 
@@ -380,9 +378,8 @@ def verify_sync_limit(
     branch_w = oa_cdf(p_head, wrap_angle(np.pi - p_head.alpha))
     limits = []
     for q in q_pair:
-        with np.errstate(invalid="ignore"):
-            xi_q = wrap_label(branch_w + 0.5 - oa_shift(p_head) - float(q) / TWO_PI)
-            w = wrap_label(xi_q + oa_shift(p_head) + float(q) / TWO_PI)
+        xi_q = wrap_label(branch_w + 0.5 - oa_shift(p_head) - float(q) / TWO_PI)
+        w = wrap_label(xi_q + oa_shift(p_head) + float(q) / TWO_PI)
         limits.append(wrap_angle(float(oa_quantile(p_head, w))))
     q_deviation = float(np.max(circle_distance(np.array(limits[:-1]), np.array(limits[1:]))))
     if not q_deviation <= 1e-10:  # a NaN deviation fails too

@@ -107,18 +107,33 @@ def test_wrap_angle_matches_np_mod_bitwise(draws):
         values = [_near_multiple(*d, period, offset) if isinstance(d, tuple) else d for d in draws]
         x = np.array(values, dtype=float)
         before = x.tobytes()
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # the reference warns at +-inf; the wraps must not
             want = reference(x)
-            assert np.all(np.isnan(want) | ((want >= start) & (want < start + period))), name
-            for arg in (x, values):
+        assert np.all(np.isnan(want) | ((want >= start) & (want < start + period))), name
+        for arg in (x, values):
+            got = wrap(arg)
+            assert got.dtype == float and not np.shares_memory(got, x), name
+            assert got.tobytes() == want.tobytes(), name
+        for v in values:
+            for arg in (v, np.float64(v), np.array(v)):
                 got = wrap(arg)
-                assert got.dtype == float and not np.shares_memory(got, x), name
-                assert got.tobytes() == want.tobytes(), name
-            for v in values:
-                for arg in (v, np.float64(v), np.array(v)):
-                    got, want = wrap(arg), reference(arg)
-                    assert type(got) is type(want) and np.float64(got).tobytes() == want.tobytes(), name
+                with np.errstate(invalid="ignore"):
+                    want = reference(arg)
+                assert type(got) is type(want) and np.float64(got).tobytes() == want.tobytes(), name
         assert x.tobytes() == before, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@example([-1e-17, 1e300, -0.0, TWO_PI, 1.0])
+def test_wraps_give_np_mod_twice_at_finite_inputs(values):
+    # the in-range shortcut of wrap_angle and the shift of wrap_pm_pi keep
+    # the bits of np.mod applied twice
+    x = np.array(values, dtype=float)
+    wraps = ((wrap_angle, 0.0, TWO_PI), (wrap_pm_pi, np.pi, TWO_PI), (wrap_label, 0.0, 1.0))
+    for wrap, shift, period in wraps:
+        want = np.mod(np.mod(x + shift, period), period) - shift
+        assert wrap(x).tobytes() == want.tobytes(), wrap.__name__
 
 
 def test_wrap_pm_pi_range():
@@ -142,6 +157,13 @@ def test_circle_distance_antipodal_is_pi():
 def test_label_distance_bound():
     assert np.isclose(label_distance(0.1, 0.9), 0.2)
     assert label_distance(0.0, 0.5) == 0.5
+
+
+@pytest.mark.parametrize("a, b", [(np.inf, 0.0), (0.0, -np.inf), (np.inf, np.inf), (np.nan, 1.0)])
+@pytest.mark.parametrize("distance", [circle_distance, label_distance])
+def test_distances_are_nan_at_non_finite_arguments(distance, a, b):
+    # pytest turns a RuntimeWarning into a failure
+    assert np.isnan(distance(a, b)) and np.isnan(distance(np.array([a, 0.5]), b)[0])
 
 
 def test_theta_grid():
@@ -236,6 +258,10 @@ MALFORMED = {
     "cdf-length": (lambda: CdfFn(ThetaGrid(4), np.array([0.0, 0.5, 1.0])), DomainError),
     "particles-empty": (lambda: ParticleState(np.array([])), DomainError),
     "particles-2d": (lambda: ParticleState(np.zeros((2, 2))), DomainError),
+    "particles-nan": (lambda: ParticleState(np.array([np.nan, 0.0])), DomainError),
+    "particles-inf": (lambda: ParticleState(np.array([0.0, -np.inf])), DomainError),
+    "field-nan": (lambda: LabelField(LabelGrid(2), np.array([np.nan, 0.0])), DomainError),
+    "field-inf": (lambda: LabelField(LabelGrid(2), np.array([0.0, np.inf])), DomainError),
     "table-shapes": (lambda: TabulatedGradient(np.array([-1.0, 0.0, 1.0]), np.array([1.0, -1.0])), DomainError),
     "table-short": (lambda: TabulatedGradient(np.array([0.0]), np.array([1.0])), DomainError),
 }

@@ -1,6 +1,7 @@
-"""The library contract, drawn: every verify suite, the four solvers and the
-two family fields answer any argument with their result or a
-:class:`KuralimError`, never a foreign exception or a numpy warning.
+"""The library contract, drawn: every verify suite, the four solvers, the
+two family fields, ``moments`` and ``oa_defect`` answer any argument with
+their result or a :class:`KuralimError`, never a foreign exception or a
+numpy warning.
 
 Suite arguments are drawn by the type of their defaults, so a new suite
 argument is drawn without an edit here.  ``t_end`` and ``dt`` are drawn
@@ -33,7 +34,9 @@ from kuralim import (
     manifold_field,
     mfl_simulate_grid,
     mfl_simulate_spectral,
+    moments,
     oa_cell_averages,
+    oa_defect,
     twisted_field,
 )
 
@@ -115,7 +118,18 @@ ENTRY_POINTS = {
     **SOLVERS,
     "manifold_field": (lambda q: manifold_field(GRID, FAMILY, q), LabelField),
     "twisted_field": (lambda m, q: twisted_field(GRID, m, q), LabelField),
+    "moments": (moments, np.ndarray),
+    "oa_defect": (oa_defect, float),
 }
+# What moments are taken of: the two densities, or an array of angles as
+# particle positions, label values and trajectory rows hold them.
+moment_states = st.one_of(
+    st.sampled_from((FourierDensity.from_oa(FAMILY, 8), oa_cell_averages(FAMILY, ThetaGrid(16)))),
+    st.lists(floats, max_size=4).map(lambda x: np.array(x, dtype=float)),
+)
+moment_vectors = st.lists(st.builds(complex, floats, floats), max_size=4).map(
+    lambda c: np.array(c, dtype=complex)
+)
 
 calls = st.one_of(
     *[
@@ -132,6 +146,10 @@ calls = st.one_of(
     st.fixed_dictionaries({"m": ints, "q": floats}).map(
         lambda kw: ("twisted_field", kw)
     ),
+    st.fixed_dictionaries(
+        {"state": moment_states, "n": st.sampled_from((0, 1, 3, 1.5, True, np.int64(3)))}
+    ).map(lambda kw: ("moments", kw)),
+    st.fixed_dictionaries({"c": moment_vectors}).map(lambda kw: ("oa_defect", kw)),
 )
 
 
@@ -181,6 +199,9 @@ calls = st.one_of(
 @example(call=("verify invariance", {"flow_scale": np.float64(-inf), "t_end": 0.01, "dt": 0.01,
                                      "n_labels": 8}))
 @example(call=("verify spectrum", {"n_cells": np.int64(16)}))
+# an empty moment vector raised IndexError; an infinite angle would warn in exp
+@example(call=("oa_defect", {"c": np.array([], dtype=complex)}))
+@example(call=("moments", {"state": np.array([0.5, inf]), "n": 3}))
 def test_library_entry_points_return_a_result_or_a_kuralim_error(call):
     name, kwargs = call
     function, result_type = ENTRY_POINTS[name]

@@ -25,9 +25,11 @@ from kuralim import (
     linearized_spectrum,
     mfl_simulate_grid,
     mfl_simulate_spectral,
+    moments,
     oa_cell_averages,
+    oa_defect,
     oa_flow,
-    order_parameter,
+    poisson_circular_moment,
     spectral_rhs,
 )
 from test_particles import _frozen_circle_velocity
@@ -50,18 +52,43 @@ def test_from_oa_modes_are_geometric():
     assert np.allclose(d.modes, a ** np.arange(1, 7), atol=1e-15)
 
 
-def test_order_parameter_dispatch():
+def test_moments_dispatch():
     p = OAPoint(1.2, 0.35)
     spec = FourierDensity.from_oa(p, 8)
-    assert order_parameter(spec) == spec.modes[0]
-    grid_val = order_parameter(oa_cell_averages(p, ThetaGrid(512)))
-    assert abs(grid_val - p.beta * np.exp(1j * p.alpha)) < 1e-4
-    finer = order_parameter(oa_cell_averages(p, ThetaGrid(1024)))
-    coarse_err = abs(grid_val - p.beta * np.exp(1j * p.alpha))
-    fine_err = abs(finer - p.beta * np.exp(1j * p.alpha))
-    assert fine_err < 0.3 * coarse_err  # second-order in the spacing
+    assert np.array_equal(moments(spec, 8), spec.modes)
+    # dividing the cell sums by sinc(k h / 2) undoes the cell averaging, so
+    # family cell averages give the family's moments to rounding
+    grid_val = moments(oa_cell_averages(p, ThetaGrid(512)), 8)
+    assert np.max(np.abs(grid_val - spec.modes)) <= 1e-15
+    c1 = np.conj(poisson_circular_moment(p)) * (1.0 - p.beta) * (1.0 + p.beta) / TWO_PI
+    assert abs(grid_val[0] - c1) <= 1e-15
+    x = np.array([0.3, 2.0, 5.5])
+    assert np.array_equal(moments(x, 2), np.exp(-1j * np.outer([1, 2], x)).mean(axis=1))
+
+
+@pytest.mark.parametrize(
+    "state, n",
+    [
+        (np.zeros(3), 0),
+        (np.zeros(3), 1.5),
+        (np.zeros(3), True),
+        (FourierDensity(np.zeros(4)), 5),
+        (CircularDensity(ThetaGrid(8), np.full(8, 1.0 / TWO_PI)), 5),
+        (np.array([0.1, np.nan]), 1),
+        (np.array([0.1, -np.inf]), 1),
+        (np.zeros((2, 2)), 1),
+        (np.array([]), 1),
+    ],
+)
+def test_moments_refuse_what_they_cannot_resolve(state, n):
     with pytest.raises(DomainError):
-        order_parameter(np.zeros(8))
+        moments(state, n)
+
+
+@pytest.mark.parametrize("c", [np.array([]), np.zeros((2, 2))])
+def test_oa_defect_refuses_what_is_not_a_moment_vector(c):
+    with pytest.raises(DomainError):
+        oa_defect(c)
 
 
 def test_spectral_rhs_single_mode_seed():
@@ -197,7 +224,7 @@ def test_spectral_and_grid_runs_agree():
     errs = []
     for k, t in enumerate(spec.times):
         r_spec = abs(spec.states[k][0])
-        r_grid = abs(order_parameter(CircularDensity(grid.grid, grid.values[k])))
+        r_grid = abs(moments(CircularDensity(grid.grid, grid.values[k]), 1)[0])
         errs.append(abs(r_spec - r_grid))
     assert max(errs) < 2e-3
     finer = mfl_simulate_grid(
@@ -206,7 +233,7 @@ def test_spectral_and_grid_runs_agree():
     errs2 = []
     for k in range(len(spec.times)):
         r_spec = abs(spec.states[k][0])
-        r_grid = abs(order_parameter(CircularDensity(finer.grid, finer.values[k])))
+        r_grid = abs(moments(CircularDensity(finer.grid, finer.values[k]), 1)[0])
         errs2.append(abs(r_spec - r_grid))
     assert max(errs2) < 0.75 * max(errs)
 

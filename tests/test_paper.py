@@ -1,7 +1,9 @@
 """The paper's result: the unstable manifold of the continuum limit's flat
-state is tangent to the Ott-Antonsen family at ``beta = 0``, and the family
-is invariant under the label dynamics and the spectral mean-field dynamics
-at every drawn point, not only at the verify suites' fixed ones."""
+state is tangent to the Ott-Antonsen family at ``beta = 0``, the family is
+invariant under the label dynamics and the spectral mean-field dynamics at
+every drawn point, not only at the verify suites' fixed ones, and, in the
+defining form of an unstable manifold, orbits on the family reach the flat
+state backward in time while orbits off it do not."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,15 +11,22 @@ from hypothesis import given, settings, strategies as st
 from kuralim import (
     FourierDensity,
     KuramotoSin,
+    LabelField,
     LabelGrid,
     OAPoint,
+    ThetaGrid,
     circle_distance,
     cl_simulate,
+    integrate_fixed,
     linearized_operator,
     linearized_spectrum,
     manifold_field,
     mfl_simulate_spectral,
+    moments,
+    oa_cell_averages,
+    oa_defect,
     oa_flow,
+    spectral_rhs,
     wrap_pm_pi,
 )
 
@@ -74,9 +83,46 @@ def test_label_dynamics_keep_the_family_at_drawn_points(alpha, beta0, q):
 def test_spectral_dynamics_keep_geometric_modes_at_drawn_points(radius, phase):
     a0 = radius * np.exp(1j * phase)
     traj = mfl_simulate_spectral(FourierDensity(a0 ** np.arange(1, 33)), 0.01, 2.0)
-    powers = np.arange(1, 9)
     for modes in traj.states:
-        c1 = modes[0]
-        if abs(c1) > 0.9:
+        if abs(modes[0]) > 0.9:
             break
-        assert np.max(np.abs(modes[:8] - c1**powers)) < 1e-9
+        assert oa_defect(modes[:8]) < 1e-9
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_family_states_have_no_oa_defect(beta):
+    # c_k = c_1^k on the family, in the grid and label descriptions alike
+    p = OAPoint(0.7, beta)
+    assert oa_defect(moments(oa_cell_averages(p, ThetaGrid(512)), 8)) <= 1e-14
+    assert oa_defect(moments(manifold_field(LabelGrid(1024), p, 0.4).values, 8)) <= 1e-14
+
+
+# Backward in time.  The label velocity is linear in the coupling, so
+# KuramotoSin(-1) runs the label dynamics backward, and -spectral_rhs the
+# mode hierarchy.  On the family, |c_1| follows oa_flow(p, -t) down to the
+# flat state and the higher moments vanish with it.  Off the family, c_2
+# settles at a nonzero value: the higher harmonics are neutral at the flat
+# state, so only the family's orbits converge to it.
+
+
+def test_label_orbits_reach_the_flat_state_backward_only_on_the_family():
+    grid, p = LabelGrid(256), OAPoint(0.3, 0.9)
+    on = manifold_field(grid, p, 0.4)
+    off = LabelField(grid, on.values + 0.05 * np.sin(2.0 * TWO_PI * grid.midpoints))
+    back = [cl_simulate(f, KuramotoSin(-1.0), 0.05, 20.0, output_every=1.0) for f in (on, off)]
+    for t, row in zip(back[0].times, back[0].states):
+        assert abs(abs(moments(row, 1)[0]) - oa_flow(p, -float(t)).beta) <= 2e-8, t
+    assert abs(moments(back[0].states[-1], 2)[1]) <= 5e-8
+    assert min(abs(moments(row, 2)[1]) for row in back[1].states[10:]) >= 0.3
+
+
+def test_mode_orbits_reach_the_flat_state_backward_only_on_the_family():
+    p = OAPoint(0.3, 0.6)
+    on = FourierDensity.from_oa(p, 64).modes
+    off = on.copy()
+    off[1] += 0.05
+    back = [integrate_fixed(lambda y: -spectral_rhs(y), m, 0.01, 20.0, record_every=100) for m in (on, off)]
+    for t, modes in zip(back[0].times, back[0].states):
+        assert abs(abs(modes[0]) - oa_flow(p, -float(t)).beta) <= 5e-12, t
+    assert abs(back[0].states[-1][1]) <= 5e-9
+    assert min(abs(modes[1]) for modes in back[1].states[10:]) >= 2e-3
