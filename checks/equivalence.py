@@ -1,17 +1,22 @@
-"""Parent-versus-change equivalence of the CLI's bytes on a fixed catalogue.
+"""Parent-versus-change equivalence of the CLI's bytes and of library results.
 
     python checks/equivalence.py --parent HEAD~1 [--expect ID ...]
 
 ``--parent`` names the revision whose ``src/`` is extracted with ``git
 archive``; the change is the working tree's ``src/``.  One child process per
-tree imports that tree's ``kuralim.cli`` and runs every catalogue entry
-through ``run_cli``, each in its own empty directory with the entry's input
-files written first.  This process then compares exit codes, stdout, stderr
-and every file left in the directory, byte for byte, after dropping
-``runtime_s`` from verify JSON, and prints one line per difference.  It
-also checks the CLI's contract on every command of the change: the exit
-code is 0, 1 or 2, an exit 2 writes exactly one ``error: `` line to
-stderr, and no command warns or raises; it prints one line per violation.
+tree imports that tree's ``kuralim`` and runs every catalogue entry, each in
+its own empty directory with the entry's input files written first.  A CLI
+entry runs its commands through ``run_cli``.  A ``library/`` entry names one
+library call whose inputs the child builds from fixed seeds with numpy; it
+prints each result's type, dtype and shape, writes each result's bytes to a
+file of its name and exits 0, or reports a ``KuralimError`` as the CLI does,
+with one ``error: <Type>: <message>`` line and exit 2.  This process then
+compares exit codes, stdout, stderr and every file left in the directory,
+byte for byte, after dropping ``runtime_s`` from verify JSON, and prints one
+line per difference.  It also checks the contract on every command of the
+change: the exit code is 0, 1 or 2, an exit 2 writes exactly one ``error: ``
+line to stderr, and no command warns or raises; it prints one line per
+violation.
 
 Exit status: 0 when every difference is named by an ``--expect`` id and
 no command breaks the contract; 1 on any other difference, on an
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import itertools
@@ -41,13 +47,15 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
 wl = sys.modules["workloads"] = importlib.util.module_from_spec(_spec)  # the benchmark's plans
 _spec.loader.exec_module(wl)
 
 GROUPS = ("simulate", "file-initial", "t-zero", "transform", "oa", "verify", "bad-config", "workload",
-          "one-change")
+          "one-change", "library")
 MODES = {"ds": "N", "cl": "n_labels", "mfl-spectral": "n_modes", "mfl-grid": "n_cells"}
 KERNELS = {
     "kuramoto": {"type": "kuramoto"},
@@ -232,6 +240,8 @@ def _runs():
                 part[path[-1]] = value
             yield _simulate(f"one-change/{name}/{'.'.join(path)}={_label(value)}", doc, files)
 
+    yield from _library_runs()
+
 
 def _label(value) -> str:
     if value is DELETE:
@@ -254,6 +264,94 @@ def _workload_runs():
             yield Entry(f"workload/{name}/{'/'.join(args[:2])}", files, (args,))
 
 
+# The library group.  Each entry is one call of LIBRARY on inputs that the
+# child builds from the entry's parameters: kernels and schedules by name,
+# arrays from fixed seeds.
+TWO_PI = 2.0 * math.pi
+SCHEDULES = {"remainder": (0.253, None), "exact-multiple": (0.2, None), "stride-4": (0.47, 0.04),
+             "t-zero": (0.0, None), "t-6": (6.0, None)}  # (t_end, output_every) at dt 0.01
+SPECTRAL_STARTS = {  # the last three stop with TailBlowup, NaN and an infinite last mode
+    "family": lambda k: k.FourierDensity.from_oa(k.OAPoint(0.5, 0.3), 8).modes,
+    "kicked": lambda k: k.FourierDensity.from_oa(k.OAPoint(-2.0, 0.6), 10).modes + 0.3,
+    "tail": lambda k: k.FourierDensity.from_oa(k.OAPoint(0.0, 0.4), 4).modes,
+    "overflow": lambda k: np.array([1e200, 0.1], dtype=complex),
+    "overflow-last-mode": lambda k: np.array([1.7e308], dtype=complex),
+}
+ANGLES = np.random.default_rng(12).uniform(-1.0, TWO_PI + 1.0, 12)  # the runs carry some across 0
+
+
+def _kernel(k, name):
+    """``sin<coupling>``, ``odd<coefficients>``, or ``tab``: -sin + 0.3 cos 2x at 33 offsets."""
+    if name == "tab":
+        x = np.linspace(-math.pi, math.pi, 33)
+        return k.TabulatedGradient(x, -np.sin(x) + 0.3 * np.cos(2 * x), periodic=True)
+    values = [float(v) for v in name[3:].split(",")]
+    return k.KuramotoSin(*values) if name.startswith("sin") else k.OddTrig(tuple(values))
+
+
+def _quantile(k, last, n):
+    """A CDF of ``n`` random cells ending at ``last``, inverted at its own values,
+    at and past the ends of [0, 1] and at random labels, as one array and as scalars."""
+    rng = np.random.default_rng(n)
+    cum = np.cumsum(rng.uniform(0.05, 1.0, n))
+    values = np.append(0.0, cum / cum[-1])
+    values[-1] = last  # CdfFn accepts an end value within 1e-12 of one
+    quantile = k.QuantileFn(k.CdfFn(k.ThetaGrid(n), values))
+    xi = np.concatenate(([0.0, 1.0, -1e-13, 1.0 + 1e-13], values, rng.uniform(0.0, 1.0, 16)))
+    return {"array": quantile(xi), "scalars": tuple(map(quantile, xi))}
+
+
+def _spectral_rhs(k, kind, n, scale):
+    """Read-only random or geometric modes, scaled; scale 0 gives zeros of either sign."""
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        modes = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    else:
+        modes = scale * (rng.uniform(0.0, 0.99) * np.exp(1j * rng.uniform(-4.0, 4.0))) ** np.arange(1, n + 1)
+    modes.flags.writeable = False
+    return {"rhs": k.spectral_rhs(modes)}
+
+
+def _mean_interaction(k, kernel, n, shift):
+    # RK4 stages evaluate the interaction off the circle, at negative positions too
+    x = np.random.default_rng(n).uniform(-1.0, TWO_PI + 1.0, n) + shift
+    return {"velocity": _kernel(k, kernel).mean_interaction(x), "positions": x}
+
+
+def _run(k, start, schedule, mode):
+    """A short run at dt 0.01; ``start`` names the kernel, or mfl-spectral's initial modes."""
+    if mode == "mfl-spectral":
+        run = k.mfl_simulate_spectral(k.FourierDensity(SPECTRAL_STARTS[start](k)), 0.01, *SCHEDULES[schedule])
+    elif mode == "mfl-grid":
+        initial = k.oa_cell_averages(k.OAPoint(0.4, 0.3), k.ThetaGrid(64))
+        run = k.mfl_simulate_grid(initial, _kernel(k, start), 0.01, *SCHEDULES[schedule])
+        return {"times": run.times, "values": run.values, "drift": run.drift}
+    else:
+        state = k.ParticleState(ANGLES) if mode == "ds" else k.LabelField(k.LabelGrid(ANGLES.size), ANGLES)
+        run = (k.ds_simulate if mode == "ds" else k.cl_simulate)(state, _kernel(k, start), 0.01, *SCHEDULES[schedule])
+    return {"times": run.times, "states": run.states}
+
+
+LIBRARY = {"quantile": _quantile, "spectral-rhs": _spectral_rhs, "mean-interaction": _mean_interaction,
+           **{mode: functools.partial(_run, mode=mode) for mode in ("ds", "cl", "mfl-spectral", "mfl-grid")}}
+
+
+def _library_runs():
+    product = itertools.product
+    for call in itertools.chain(
+        product(["quantile"], (1.0, 1 - 2**-53, 1 - 2**-52, 1 + 2**-52, 1 - 1e-12), (2, 5, 64)),
+        product(["spectral-rhs"], ("random", "geometric"), (1, 2, 64, 100), (1.0, 1e-3, 1e-300, 1e150, 0.0)),
+        product(["mean-interaction"], ("sin1.7", "sin-0.3", "odd1,0,0.1", "odd0,-2.5"),
+                (1, 2, 64, 255, 256, 257, 1024), (0.0, -TWO_PI, -40.0)),
+        product(("ds", "cl"), ("sin1", "sin-2.5", "odd1,0,-0.4", "tab"), ("remainder", "stride-4", "t-zero")),
+        product(["mfl-spectral"], ("family", "kicked"), ("remainder", "stride-4", "t-zero")),
+        [("mfl-spectral", "tail", "t-6"), ("mfl-spectral", "overflow", "remainder"),
+         ("mfl-spectral", "overflow-last-mode", "remainder")],
+        product(["mfl-grid"], ("sin1", "odd1,0.3,0.1", "tab"), ("remainder", "exact-multiple", "stride-4")),
+    ):
+        yield Entry("library/" + "/".join(map(str, call)), {}, (("library", *call),))
+
+
 def catalogue() -> list:
     """Every entry once: a later entry with the same files and commands as an earlier one is left out."""
     seen, entries = set(), []
@@ -265,13 +363,32 @@ def catalogue() -> list:
     return entries
 
 
-def _run_command(cli, args):
+def _call_library(kuralim, name, *params):
+    """One library call, reported as a command: each result's type, dtype
+    and shape on stdout and its bytes in a file of its name, exit 0; a
+    ``KuralimError`` is one ``error: `` line on stderr and exit 2."""
+    try:
+        results = LIBRARY[name](kuralim, *params)
+    except kuralim.KuralimError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    for key, value in results.items():
+        kind = type(value).__name__
+        if isinstance(value, tuple):
+            kind += " of " + "/".join(sorted({type(v).__name__ for v in value}))
+        array = np.asarray(value)
+        print(f"{key}: {kind} {array.dtype} {array.shape}")
+        Path(key).write_bytes(array.tobytes())
+    return 0
+
+
+def _run_command(kuralim, args):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
-            code = cli.run_cli(list(args))
+            code = _call_library(kuralim, *args[1:]) if args[0] == "library" else kuralim.cli.run_cli(list(args))
         except Exception as exc:  # a crash is an outcome to compare, as its traceback would be
             code = f"{type(exc).__name__}: {exc}"
     # without the warning's source path, which differs between the trees
@@ -280,13 +397,13 @@ def _run_command(cli, args):
 
 
 def run_tree(src: str, catalogue_path: str, results_path: str) -> None:
-    """Run every entry of the pickled catalogue on the ``kuralim.cli`` in
+    """Run every entry of the pickled catalogue on the ``kuralim`` in
     ``src``; pickle the :class:`Result` of each, by id."""
     sys.path.insert(0, src)
-    import kuralim.cli as cli
+    import kuralim.cli
 
-    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(src) + os.sep):
-        raise SystemExit(f"imported kuralim from {cli.__file__}, not from {src}")
+    if not os.path.abspath(kuralim.__file__).startswith(os.path.abspath(src) + os.sep):
+        raise SystemExit(f"imported kuralim from {kuralim.__file__}, not from {src}")
     work, results = os.path.dirname(results_path), {}
     for entry in pickle.loads(Path(catalogue_path).read_bytes()):
         run_dir = tempfile.mkdtemp(dir=work)
@@ -294,7 +411,7 @@ def run_tree(src: str, catalogue_path: str, results_path: str) -> None:
             Path(run_dir, name).write_bytes(content.encode() if isinstance(content, str) else content)
         os.chdir(run_dir)
         try:
-            runs = [_run_command(cli, args) for args in entry.commands]
+            runs = [_run_command(kuralim, args) for args in entry.commands]
             results[entry.id] = Result(runs, {name: Path(name).read_bytes() for name in os.listdir()})
         finally:
             os.chdir(work)
@@ -332,7 +449,7 @@ def compare(ids, parent: dict, change: dict) -> list:
 
 
 def contract(ids, results: dict) -> list:
-    """``(id, what)`` for each way a command of ``results`` breaks the CLI's
+    """``(id, what)`` for each way a command of ``results`` breaks the
     contract: it raises, exits with a code other than 0, 1 or 2, exits 2
     without exactly one ``error: `` line on stderr, or prints a
     ``warning:`` line."""

@@ -36,8 +36,9 @@ def anchor_flux_series(traj: DensityTrajectory, kernel: InteractionKernel) -> np
     grid = traj.grid
     field = kernel.velocity_field(np.zeros(1), grid.nodes + 0.5 * grid.spacing)
     flux = np.empty(len(traj))
-    for k, f in enumerate(traj.values):
-        flux[k] = field(f * grid.spacing)[0] * 0.5 * (f[0] + f[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # values past the float range: an inf or NaN flux
+        for k, f in enumerate(traj.values):
+            flux[k] = field(f * grid.spacing)[0] * 0.5 * (f[0] + f[-1])
     return flux
 
 
@@ -48,8 +49,9 @@ def accumulate_drift(times: np.ndarray, flux: np.ndarray) -> np.ndarray:
     for the trapezoid rule: the per-interval error estimate
     ``|second difference| / 12`` must stay below :data:`DRIFT_QUAD_TOL`.
     """
-    if len(times) != len(flux):
-        raise DomainError("times and flux must have equal length")
+    times, flux = np.asarray(times, dtype=float), np.asarray(flux, dtype=float)
+    if times.ndim != 1 or times.shape != flux.shape:
+        raise DomainError("times and flux must be 1-d arrays of equal length")
     if len(times) == 1:
         return np.zeros(1)
     if len(times) < 3:
@@ -57,15 +59,16 @@ def accumulate_drift(times: np.ndarray, flux: np.ndarray) -> np.ndarray:
             "drift accumulation needs at least three recorded slices; "
             "record the density run with a smaller output interval"
         )
-    est = float(np.max(np.abs(np.diff(flux, 2)))) / 12.0
+    with np.errstate(over="ignore", invalid="ignore"):  # samples past the float range: inf or NaN
+        est = float(np.max(np.abs(np.diff(flux, 2)))) / 12.0
+        drift = np.concatenate(([0.0], np.cumsum(np.diff(times) * (flux[1:] + flux[:-1]) / 2.0)))
     if est > DRIFT_QUAD_TOL:
         raise DriftQuadrature(
             f"drift quadrature error estimate {est:.3g} exceeds "
             f"{DRIFT_QUAD_TOL:g}; record the density run with a smaller "
             "output interval"
         )
-    steps = np.diff(times) * (flux[1:] + flux[:-1]) / 2.0
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    return drift
 
 
 @dataclass(frozen=True)

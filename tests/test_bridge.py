@@ -102,6 +102,12 @@ def test_accumulate_drift_matches_scipy_bitwise(samples):
     assert accumulate_drift(times, flux).tobytes() == expected.tobytes()
 
 
+def test_accumulate_drift_reads_lists_as_arrays():
+    # a list flux of three or more values was concatenated, not added
+    times, flux = [0.0, 0.1, 0.2, 0.3], [0.0, 1e-9, 2e-9, 2.5e-9]
+    assert accumulate_drift(times, flux).tobytes() == accumulate_drift(np.array(times), np.array(flux)).tobytes()
+
+
 def test_accumulate_drift_refuses_unequal_lengths():
     with pytest.raises(DomainError, match="equal length"):
         accumulate_drift(np.array([0.0, 0.1, 0.2]), np.zeros(2))

@@ -811,6 +811,9 @@ REFUSALS = {
     "transform-non-utf8-header": _transform(
         GRID_2, "error: input 'traj.csv' is not a density trajectory with 2 cells",
         traj=b"t,f_0\xff,f_1\n0.0,0.5,0.5\n"),
+    # an infinite cell warned in the anchor flux before the density's refusal
+    "transform-infinite-cell": _transform(GRID_2, "error: density values must be finite",
+                                          traj="t,f_0,f_1\n0,{u},{u}\n1,inf,{u}\n2,{u},{u}\n".format(u=1 / (2 * np.pi))),
     # configs
     "non-utf8-config": _simulate(b"\xff\xfe\x00mode: ds\n", re.compile(r"^error: cannot decode config 'run\.yaml'")),
     # PyYAML raises ValueError, not a YAMLError, for these

@@ -1,12 +1,13 @@
 """The library contract, drawn: every verify suite, the four solvers, the
-two family fields, ``moments`` and ``oa_defect`` answer any argument with
-their result or a :class:`KuralimError`, never a foreign exception or a
-numpy warning.
+two family fields, ``moments``, ``oa_defect``, the ``oa_*`` closed forms and
+the bridge answer any argument with their result or a
+:class:`KuralimError`, never a foreign exception or a numpy warning.
 
 Suite arguments are drawn by the type of their defaults, so a new suite
 argument is drawn without an edit here.  ``t_end`` and ``dt`` are drawn
 together so that no run takes more than 20 steps.  Every float is also
-drawn as ``np.float64`` and every int as ``np.int64``.
+drawn as ``np.float64`` and every int as ``np.int64``; angles and samples
+are drawn as floats, lists and arrays.
 """
 import inspect
 import json
@@ -18,6 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from kuralim import (
     SUITES,
+    BridgeResult,
+    CircularDensity,
     DensityTrajectory,
     FourierDensity,
     KuralimError,
@@ -34,11 +37,20 @@ from kuralim import (
     manifold_field,
     mfl_simulate_grid,
     mfl_simulate_spectral,
+    mfl_to_cl_circle,
     moments,
+    oa_cdf,
     oa_cell_averages,
     oa_defect,
+    oa_density,
+    oa_flow,
+    oa_partials,
+    oa_quantile,
+    oa_shift,
+    poisson_circular_moment,
     twisted_field,
 )
+from kuralim.bridge import accumulate_drift, anchor_flux_series
 
 inf, nan = math.inf, math.nan
 FLOATS = (0.0, -0.5, 0.5, 1e-3, nan, inf, -inf, 1e308)
@@ -51,6 +63,7 @@ def _also_numpy(values, numpy_type):
 
 floats = _also_numpy(st.sampled_from(FLOATS), np.float64)
 ints = _also_numpy(st.integers(0, 8), np.int64)
+float_lists = st.lists(floats, max_size=4)
 
 
 def _runs_at_most_20_steps(schedule):
@@ -97,6 +110,18 @@ def _solver(simulate, initial, *kernel):
 
 GRID = LabelGrid(8)
 FAMILY = OAPoint(0.4, 0.3)
+angles = st.one_of(floats, float_lists, float_lists.map(np.array))
+# name -> (a closed form of the family point drawn as alpha and beta, its result type, its other arguments)
+OA_FORMS = {
+    "oa_density": (oa_density, (float, np.ndarray), {"theta": angles}),
+    "oa_cdf": (oa_cdf, (float, np.ndarray), {"theta": angles}),
+    "oa_quantile": (oa_quantile, (float, np.ndarray), {"xi": angles}),
+    "oa_partials": (oa_partials, tuple, {"theta": angles}),
+    "oa_cell_averages": (lambda p, n: oa_cell_averages(p, ThetaGrid(n)), CircularDensity, {"n": ints}),
+    "oa_flow": (oa_flow, OAPoint, {"t": floats}),
+    "oa_shift": (oa_shift, float, {}),
+    "poisson_circular_moment": (poisson_circular_moment, complex, {}),
+}
 # name -> (callable, the type of its result)
 SOLVERS = {
     "ds": (
@@ -120,12 +145,29 @@ ENTRY_POINTS = {
     "twisted_field": (lambda m, q: twisted_field(GRID, m, q), LabelField),
     "moments": (moments, np.ndarray),
     "oa_defect": (oa_defect, float),
+    **{name: (lambda alpha, beta, f=f, **kw: f(OAPoint(alpha, beta), **kw), result)
+       for name, (f, result, _) in OA_FORMS.items()},
+    "anchor_flux_series": (lambda run: anchor_flux_series(DensityTrajectory(*run), KuramotoSin()), np.ndarray),
+    "accumulate_drift": (accumulate_drift, np.ndarray),
+    "mfl_to_cl_circle": (
+        lambda run, n, scale: mfl_to_cl_circle(DensityTrajectory(*run), KuramotoSin(), LabelGrid(n), scale),
+        BridgeResult,
+    ),
 }
 # What moments are taken of: the two densities, or an array of angles as
 # particle positions, label values and trajectory rows hold them.
 moment_states = st.one_of(
     st.sampled_from((FourierDensity.from_oa(FAMILY, 8), oa_cell_averages(FAMILY, ThetaGrid(16)))),
     st.lists(floats, max_size=4).map(lambda x: np.array(x, dtype=float)),
+)
+# The arguments of a DensityTrajectory: a family run's, with its drift or
+# without it, or drawn rows of four cells every 0.1.
+RUN = mfl_simulate_grid(oa_cell_averages(FAMILY, ThetaGrid(16)), KuramotoSin(), 0.01, 0.05)
+density_runs = st.one_of(
+    st.sampled_from([(RUN.times, RUN.values, RUN.grid, drift) for drift in (RUN.drift, None)]),
+    st.lists(st.lists(floats, min_size=4, max_size=4), min_size=1, max_size=3).map(
+        lambda rows: (0.1 * np.arange(len(rows)), np.array(rows, dtype=float), ThetaGrid(4))
+    ),
 )
 moment_vectors = st.lists(st.builds(complex, floats, floats), max_size=4).map(
     lambda c: np.array(c, dtype=complex)
@@ -150,10 +192,17 @@ calls = st.one_of(
         {"state": moment_states, "n": st.sampled_from((0, 1, 3, 1.5, True, np.int64(3)))}
     ).map(lambda kw: ("moments", kw)),
     st.fixed_dictionaries({"c": moment_vectors}).map(lambda kw: ("oa_defect", kw)),
+    *[
+        st.fixed_dictionaries({"alpha": floats, "beta": floats, **rest}).map(lambda kw, name=name: (name, kw))
+        for name, (_, _, rest) in OA_FORMS.items()
+    ],
+    st.fixed_dictionaries({"run": density_runs}).map(lambda kw: ("anchor_flux_series", kw)),
+    st.fixed_dictionaries({"times": angles, "flux": angles}).map(lambda kw: ("accumulate_drift", kw)),
+    st.fixed_dictionaries({"run": density_runs, "n": ints, "scale": floats}).map(lambda kw: ("mfl_to_cl_circle", kw)),
 )
 
 
-@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@settings(derandomize=True, max_examples=1400, deadline=None, database=None)
 @given(call=calls)
 # dt = output_every = inf reached int(round(nan)) in record_stride
 @example(call=("ds", {"t_end": 1.0, "dt": inf, "output_every": inf}))
@@ -202,6 +251,8 @@ calls = st.one_of(
 # an empty moment vector raised IndexError; an infinite angle would warn in exp
 @example(call=("oa_defect", {"c": np.array([], dtype=complex)}))
 @example(call=("moments", {"state": np.array([0.5, inf]), "n": 3}))
+# lists of three or more samples were concatenated, not added
+@example(call=("accumulate_drift", {"times": [0.0, 0.1, 0.2], "flux": [0.0, 1e-9, 2e-9]}))
 def test_library_entry_points_return_a_result_or_a_kuralim_error(call):
     name, kwargs = call
     function, result_type = ENTRY_POINTS[name]

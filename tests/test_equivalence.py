@@ -1,11 +1,13 @@
 """The equivalence runner's catalogue and comparison (checks/equivalence.py)."""
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 import yaml
 
+import kuralim
 from kuralim import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "checks"))
@@ -63,6 +65,14 @@ def test_catalogue_holds_every_group(entries):
     assert {f"workload/{name}/{seed}" for name in ("ensembles-verify", "density-pipeline")
             for seed in (1, 2, 3, 7)} <= set(groups["workload"])
     assert len(groups["one-change"]) > 8500
+    # quantile 5 x 3, spectral-rhs 2 x 4 x 5, mean-interaction 4 x 7 x 3, ds and cl 2 x 4 x 3,
+    # mfl-spectral 3 x 3, mfl-grid 3 x 3
+    assert len(groups["library"]) == 15 + 40 + 84 + 24 + 9 + 9
+    assert {"library/quantile/1.0000000000000002/64", "library/spectral-rhs/random/100/1e-300",
+            "library/mean-interaction/odd0,-2.5/257/-40.0", "library/cl/tab/stride-4",
+            "library/mfl-spectral/overflow-last-mode/remainder",
+            "library/mfl-grid/tab/exact-multiple"} <= set(groups["library"])
+    assert {entry.commands[0][1] for entry in entries if entry.id.startswith("library/")} == set(eq.LIBRARY)
     assert eq.MAX_SIZE == cli.MAX_SIZE  # the one-change values sit on the CLI's size limit
     assert eq.SUITES == tuple(cli.SUITES)
     assert eq.MODES == {mode: key for mode, (key, *_) in cli.MODES.items()}
@@ -123,3 +133,23 @@ def test_contract_reports_each_violation_and_expect_never_excuses_one():
         assert status == 1
         assert [line for line in lines if ": contract: " in line] == [f"{id}: contract: {what}" for id, what in violations]
     assert eq.contract(["clean"], change) == []
+
+
+def test_library_call_is_recorded_as_a_command_under_the_same_contract(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = eq._run_command(kuralim, ("library", "mfl-grid", "sin1", "stride-4"))
+    assert (code, err) == (0, "") and out == (
+        "times: ndarray float64 (13,)\nvalues: ndarray float64 (13, 64)\ndrift: ndarray float64 (13,)\n"
+    )
+    assert sorted(os.listdir()) == ["drift", "times", "values"] and len(Path("values").read_bytes()) == 13 * 64 * 8
+    # a KuralimError is the CLI's one error line and exit 2
+    assert eq._run_command(kuralim, ("library", "mfl-spectral", "tail", "t-6")) == (
+        2, "", "error: TailBlowup: last mode reached |c_N| = 0.5 at t = 1.95; increase n_modes or shorten the run\n"
+    )
+    # any other exception, and any warning, breaks the contract
+    monkeypatch.setitem(eq.LIBRARY, "raises", lambda k: {}["x"])
+    monkeypatch.setitem(eq.LIBRARY, "warns", lambda k: warnings.warn("late") or {})
+    results = {name: eq.Result([eq._run_command(kuralim, ("library", name))], {}) for name in ("raises", "warns")}
+    assert eq.contract(list(results), results) == [
+        ("raises", "command 1: raised KeyError: 'x'"), ("warns", "command 1: warning: UserWarning: late")
+    ]

@@ -1,13 +1,13 @@
-"""``integrate_fixed`` against a frozen copy of its earlier form.
+"""The fixed-step driver ``integrate_fixed`` and the solvers that run on it.
 
-``integrate_fixed`` once took ``wrap`` and ``post_step`` hooks besides
-``step``; ds and cl passed ``wrap=wrap_angle`` and the spectral solver
-passed its tail check as ``post_step``.  Those solvers now pass their own
-``step``.  The frozen step loop and hooks below are the bitwise reference.
+The spectral solver records the schedule's rows and stops with the errors
+it names, an overflow inside a step is ``NonFinite``, and the step schedule
+refuses what it cannot run.  Each solver's bytes are compared with the
+parent commit's by the ``library/`` entries of ``checks/equivalence.py``,
+and ds against cl by ``tests/test_continuum.py``.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kuralim import (
     DomainError,
@@ -17,7 +17,6 @@ from kuralim import (
     LabelGrid,
     NonFinite,
     OAPoint,
-    OddTrig,
     ParticleState,
     TabulatedGradient,
     TailBlowup,
@@ -27,139 +26,9 @@ from kuralim import (
     mfl_simulate_grid,
     mfl_simulate_spectral,
     oa_cell_averages,
-    spectral_rhs,
-    wrap_angle,
 )
-from kuralim._rk4 import Trajectory, integrate_fixed, record_stride, rk4_step, step_schedule
-from kuralim.meanfield import TAIL_LIMIT
+from kuralim._rk4 import integrate_fixed, record_stride, step_schedule
 from kuralim.verify import verify_bridge, verify_manifold_invariance, verify_oa_closure
-
-TWO_PI = 2.0 * np.pi
-
-
-def _frozen_integrate_fixed(
-    rhs, y0, dt, t_end, *, record_every=1, wrap=None, post_step=None, step=None
-):
-    """``integrate_fixed`` as it stood with its ``wrap`` and ``post_step`` hooks."""
-    if record_every < 1:
-        raise DomainError("record_every must be a positive integer")
-    if t_end > 0.0 and dt > t_end:
-        raise DomainError(f"dt = {dt} exceeds final time {t_end}")
-    y = np.array(y0)
-    if not np.all(np.isfinite(y)):
-        raise NonFinite("initial state contains non-finite components")
-    n_full, remainder = step_schedule(dt, t_end)
-    n_total = n_full + (1 if remainder else 0)
-
-    times = [0.0]
-    states = [y.copy()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, n_total + 1):
-            h = dt if k <= n_full else remainder
-            t = k * dt if k <= n_full else t_end
-            y = rk4_step(rhs, y, h) if step is None else step(rhs, y, h, t)
-            if wrap is not None:
-                y = wrap(y)
-            if not np.all(np.isfinite(y)):
-                raise NonFinite(f"non-finite state at step {k} (t = {t:.6g})")
-            if post_step is not None:
-                post_step(y, k, t)
-            if k % record_every == 0 or k == n_total:
-                times.append(t)
-                states.append(y.copy())
-    return Trajectory(np.array(times), np.array(states))
-
-
-def _frozen_positions(y0, kernel, dt, t_end, output_every):
-    return _frozen_integrate_fixed(
-        kernel.mean_interaction,
-        y0,
-        dt,
-        t_end,
-        record_every=record_stride(dt, output_every),
-        wrap=wrap_angle,
-    )
-
-
-def _frozen_spectral(initial, dt, t_end, output_every=None):
-    def check_tail(c, step, t):
-        if abs(c[-1]) > TAIL_LIMIT:
-            raise TailBlowup(
-                f"last mode reached |c_N| = {abs(c[-1]):.3g} at t = {t:.6g}; "
-                "increase n_modes or shorten the run"
-            )
-
-    return _frozen_integrate_fixed(
-        spectral_rhs,
-        initial.modes,
-        dt,
-        t_end,
-        record_every=record_stride(dt, output_every),
-        post_step=check_tail,
-    )
-
-
-def _outcome(run, *args):
-    """The run's bytes, or the class and message of what it raised."""
-    try:
-        traj = run(*args)
-    except (TailBlowup, NonFinite) as exc:
-        return type(exc), str(exc)
-    return traj.times.tobytes(), traj.states.tobytes()
-
-
-_OFFSETS = np.linspace(-np.pi, np.pi, 33)
-KERNELS = [
-    KuramotoSin(),
-    KuramotoSin(-2.5),
-    OddTrig((1.0, 0.0, -0.4)),
-    TabulatedGradient(_OFFSETS, -np.sin(_OFFSETS) + 0.3 * np.cos(2 * _OFFSETS), periodic=True),
-]
-
-# A step, a final time of 0 or between 1 and 12 steps (a remainder step
-# when not whole), and an output interval (None records every step).
-dts = st.sampled_from([0.01, 0.05, 0.2])
-step_counts = st.one_of(st.just(0.0), st.floats(1.0, 12.0))
-output_intervals = st.one_of(st.none(), st.floats(0.005, 1.0))
-
-
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(
-    kernel=st.sampled_from(KERNELS),
-    positions=st.lists(st.floats(-1.0, TWO_PI + 1.0), min_size=1, max_size=12),
-    dt=dts,
-    n_steps=step_counts,
-    output_every=output_intervals,
-)
-def test_ds_and_cl_match_the_frozen_step_loop(kernel, positions, dt, n_steps, output_every):
-    t_end = dt * n_steps
-    state = ParticleState(np.array(positions))
-    field = LabelField(LabelGrid(len(positions)), np.array(positions))
-    assert state.positions.tobytes() == field.values.tobytes()
-    frozen = _outcome(_frozen_positions, state.positions, kernel, dt, t_end, output_every)
-    assert _outcome(ds_simulate, state, kernel, dt, t_end, output_every) == frozen
-    assert _outcome(cl_simulate, field, kernel, dt, t_end, output_every) == frozen
-
-
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(
-    alpha=st.floats(-np.pi, np.pi),
-    beta=st.floats(0.0, 0.8),
-    n_modes=st.integers(1, 10),
-    kick=st.floats(-0.3, 0.3),
-    dt=dts,
-    n_steps=step_counts,
-    output_every=output_intervals,
-)
-def test_spectral_matches_the_frozen_step_loop(
-    alpha, beta, n_modes, kick, dt, n_steps, output_every
-):
-    # some runs start off the family, and the larger ones trip the tail check
-    modes = FourierDensity.from_oa(OAPoint(alpha, beta), n_modes).modes + kick
-    initial = FourierDensity(modes)
-    t_end = dt * n_steps
-    frozen = _outcome(_frozen_spectral, initial, dt, t_end, output_every)
-    assert _outcome(mfl_simulate_spectral, initial, dt, t_end, output_every) == frozen
 
 
 @pytest.mark.parametrize(
@@ -168,32 +37,26 @@ def test_spectral_matches_the_frozen_step_loop(
     ids=["remainder", "stride-4"],
 )
 def test_spectral_remainder_and_stride_match_the_frozen_step_loop(t_end, output_every, n_rows):
-    initial = FourierDensity.from_oa(OAPoint(0.5, 0.3), 8)
-    run = mfl_simulate_spectral(initial, 0.01, t_end, output_every)
-    frozen = _frozen_spectral(initial, 0.01, t_end, output_every)
-    assert run.times.tobytes() == frozen.times.tobytes()
-    assert run.states.tobytes() == frozen.states.tobytes()
+    run = mfl_simulate_spectral(FourierDensity.from_oa(OAPoint(0.5, 0.3), 8), 0.01, t_end, output_every)
     assert len(run) == n_rows
 
 
 @pytest.mark.parametrize(
-    "modes, t_end, error",
+    "modes, t_end, error, message",
     [
-        (FourierDensity.from_oa(OAPoint(0.0, 0.4), 4).modes, 6.0, TailBlowup),
+        (FourierDensity.from_oa(OAPoint(0.0, 0.4), 4).modes, 6.0, TailBlowup,
+         "last mode reached |c_N| = 0.5 at t = 1.95; increase n_modes or shorten the run"),
         # overflows to NaN: integrate_fixed's NonFinite
-        ([1e200, 0.1], 0.1, NonFinite),
+        ([1e200, 0.1], 0.1, NonFinite, "non-finite state at step 1 (t = 0.01)"),
         # the last mode overflows to inf: still NonFinite, not the tail's error
-        ([1.7e308], 0.1, NonFinite),
+        ([1.7e308], 0.1, NonFinite, "non-finite state at step 1 (t = 0.01)"),
     ],
     ids=["tail", "overflow", "overflow-last-mode"],
 )
-def test_spectral_errors_match_the_frozen_step_loop(modes, t_end, error):
-    initial = FourierDensity(np.array(modes, dtype=complex))
-    with pytest.raises(error) as frozen:
-        _frozen_spectral(initial, 1e-2, t_end)
+def test_spectral_errors_match_the_frozen_step_loop(modes, t_end, error, message):
     with pytest.raises(error) as run:
-        mfl_simulate_spectral(initial, 1e-2, t_end)
-    assert str(run.value) == str(frozen.value)
+        mfl_simulate_spectral(FourierDensity(np.array(modes, dtype=complex)), 1e-2, t_end)
+    assert str(run.value) == message
 
 
 @pytest.mark.parametrize("record_every", [1.5, 2.0, True, 0])
