@@ -13,9 +13,12 @@ file of its name and exits 0, or reports a ``KuralimError`` as the CLI does,
 with one ``error: <Type>: <message>`` line and exit 2.  This process then
 compares exit codes, stdout, stderr and every file left in the directory,
 byte for byte, after dropping ``runtime_s`` from verify JSON, and prints one
-line per difference.  It also checks the contract on every command of the
-change: the exit code is 0, 1 or 2, an exit 2 writes exactly one ``error: ``
-line to stderr, and no command warns or raises; it prints one line per
+line per difference; a ``library/`` result file's difference is named by its
+first differing element.  It also checks the contract on every command of
+the change: the exit code is 0, 1 or 2, an exit 2 writes exactly one
+``error: `` line to stderr, and no command warns or raises.  An entry whose
+commands all exit 0 or 1 leaves no ``.csv`` file with a NaN or infinite cell
+and no ``.json`` file that is not strict JSON.  It prints one line per
 violation.
 
 Exit status: 0 when every difference is named by an ``--expect`` id and
@@ -27,6 +30,7 @@ when a tree cannot be run.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import functools
 import importlib.util
@@ -114,6 +118,8 @@ LONG_VALUES = (MAX_SIZE - 1, MAX_SIZE)
 
 RUNTIME = re.compile(rb'"runtime_s": [^,\n]*')
 ERROR_LINE = re.compile(r"error: [^\n]*\n")
+NON_FINITE_CELL = re.compile(rb"(?:^|,)[-+]?(?:nan|inf(?:inity)?)\r?(?=,|$)", re.I | re.M)
+RESULT_LINE = re.compile(r"^(\S+): .* (\S+) (\([\d, ]*\))$", re.M)  # a library result's name, dtype and shape
 
 
 class Entry(NamedTuple):
@@ -419,10 +425,23 @@ def run_tree(src: str, catalogue_path: str, results_path: str) -> None:
     Path(results_path).write_bytes(pickle.dumps(results))
 
 
-def _first_difference(x: bytes, y: bytes) -> str:
+def _first_difference(x: bytes, y: bytes, layout=None) -> str:
+    """Where ``x`` and ``y`` first differ: the element and both values when
+    ``layout`` gives the ``(dtype, shape)`` of an array of ``x``'s length,
+    else the line and column and the bytes from there."""
     at = next((i for i, (a, b) in enumerate(zip(x, y)) if a != b), min(len(x), len(y)))
+    if layout is not None and len(x) == len(y) == layout[0].itemsize * math.prod(layout[1]):
+        dtype, shape = layout
+        index = np.unravel_index(at // dtype.itemsize, shape)
+        a, b = (np.frombuffer(z, dtype).reshape(shape)[index].item() for z in (x, y))
+        return f"element {tuple(map(int, index))} of {dtype} {shape}: {a!r} (parent) != {b!r} (change)"
     line, column = x.count(b"\n", 0, at) + 1, at - x.rfind(b"\n", 0, at)
     return f"line {line}, column {column}: {x[at:at + 40]!r} (parent) != {y[at:at + 40]!r} (change)"
+
+
+def _layouts(stdout: str) -> dict:
+    """Result name -> ``(dtype, shape)``, read from a library call's stdout."""
+    return {name: (np.dtype(dtype), ast.literal_eval(shape)) for name, dtype, shape in RESULT_LINE.findall(stdout)}
 
 
 def compare(ids, parent: dict, change: dict) -> list:
@@ -431,28 +450,51 @@ def compare(ids, parent: dict, change: dict) -> list:
     differences = []
     for id in ids:
         old, new = parent[id], change[id]
+        layouts = _layouts(old.runs[0][1]) if id.startswith("library/") else {}
         items = []
         for k, ((code, *streams), (new_code, *new_streams)) in enumerate(zip(old.runs, new.runs), 1):
             if code != new_code:
                 differences.append((id, f"command {k}: exit code {code!r} (parent) != {new_code!r} (change)"))
-            items += [(f"command {k}: {name}", a.encode(errors="backslashreplace"), b.encode(errors="backslashreplace"))
+            items += [(f"command {k}: {name}", a.encode(errors="backslashreplace"),
+                       b.encode(errors="backslashreplace"), None)
                       for name, a, b in zip(("stdout", "stderr"), streams, new_streams)]
         for name in sorted(old.files.keys() | new.files.keys()):
             if name not in old.files or name not in new.files:
                 differences.append((id, f"file {name}: only in {'parent' if name in old.files else 'change'}"))
             else:
-                items.append((f"file {name}", old.files[name], new.files[name]))
-        for what, a, b in items:
+                items.append((f"file {name}", old.files[name], new.files[name], layouts.get(name)))
+        for what, a, b, layout in items:
             if RUNTIME.sub(b'"runtime_s": -', a) != RUNTIME.sub(b'"runtime_s": -', b):
-                differences.append((id, f"{what}: {_first_difference(a, b)}"))
+                differences.append((id, f"{what}: {_first_difference(a, b, layout)}"))
     return differences
 
 
+def _refuse_constant(name):
+    raise ValueError(name)
+
+
+def _output_fault(name: str, data: bytes):
+    """Why a file a run left breaks the output rule, or None: a ``.csv``
+    with a NaN or infinite cell, or a ``.json`` that is not strict JSON."""
+    cell = NON_FINITE_CELL.search(data) if name.endswith(".csv") else None
+    if cell:
+        line = data.count(b"\n", 0, cell.start()) + 1
+        return f"non-finite cell {cell.group().lstrip(b',').decode()!r} in line {line}"
+    if name.endswith(".json"):
+        try:
+            json.loads(data, parse_constant=_refuse_constant)
+        except ValueError as exc:
+            return f"not strict JSON: {exc}"
+    return None
+
+
 def contract(ids, results: dict) -> list:
-    """``(id, what)`` for each way a command of ``results`` breaks the
-    contract: it raises, exits with a code other than 0, 1 or 2, exits 2
-    without exactly one ``error: `` line on stderr, or prints a
-    ``warning:`` line."""
+    """``(id, what)`` for each way an entry of ``results`` breaks the
+    contract: a command raises, exits with a code other than 0, 1 or 2,
+    exits 2 without exactly one ``error: `` line on stderr, or prints a
+    ``warning:`` line; or the commands all exit 0 or 1 and leave a ``.csv``
+    file with a NaN or infinite cell or a ``.json`` file that is not strict
+    JSON."""
     violations = []
     for id in ids:
         for k, (code, _, err) in enumerate(results[id].runs, 1):
@@ -463,6 +505,9 @@ def contract(ids, results: dict) -> list:
             elif code == 2 and not ERROR_LINE.fullmatch(err):
                 violations.append((id, f"command {k}: exit code 2 without one 'error: ' line: {err[:80]!r}"))
             violations += [(id, f"command {k}: {line}") for line in err.splitlines() if line.startswith("warning:")]
+        if all(code in (0, 1) for code, *_ in results[id].runs):
+            faults = ((name, _output_fault(name, data)) for name, data in sorted(results[id].files.items()))
+            violations += [(id, f"file {name}: {fault}") for name, fault in faults if fault]
     return violations
 
 

@@ -34,7 +34,7 @@ def anchor_flux_series(traj: DensityTrajectory, kernel: InteractionKernel) -> np
     adjacent cells, second-order accurate there.
     """
     grid = traj.grid
-    field = kernel.velocity_field(np.zeros(1), grid.nodes + 0.5 * grid.spacing)
+    field = kernel.velocity_field(np.zeros(1), grid.centers)
     flux = np.empty(len(traj))
     with np.errstate(over="ignore", invalid="ignore"):  # values past the float range: an inf or NaN flux
         for k, f in enumerate(traj.values):

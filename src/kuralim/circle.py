@@ -7,7 +7,9 @@ the half-open ``[0, 2*pi)`` and is produced by :func:`wrap_angle`.  Labels
 
 * :class:`ThetaGrid` holds angle nodes ``theta_j = 2*pi*j / n_cells``.  A
   periodic trapezoid rule on these nodes has uniform weights
-  ``2*pi/n_cells`` and is spectrally accurate for smooth densities.
+  ``2*pi/n_cells`` and is spectrally accurate for smooth densities.  Cell
+  ``j`` is ``[theta_j, theta_{j+1})``: its ``edges`` are the nodes and
+  ``2*pi``, its ``centers`` are ``theta_j + spacing / 2``.
 * :class:`LabelGrid` holds label midpoints ``xi_j = (j + 1/2) / n_labels``.
   The midpoint rule over these points is likewise spectrally accurate
   for smooth 1-periodic integrands and exact (to rounding) for
@@ -109,15 +111,18 @@ def clip_labels(xi) -> np.ndarray:
     return np.clip(x, 0.0, 1.0)
 
 
-def frozen(obj, name: str, value, dtype=float) -> np.ndarray:
+def frozen(obj, name: str, value, dtype=float, finite: str | None = None) -> np.ndarray:
     """Store a private read-only copy of ``value`` as field ``name`` of the
     frozen dataclass ``obj`` and return it.
 
     ``np.array`` always copies, so the caller's array stays writeable and
     a later write to it does not reach ``obj``; ``dtype=None`` keeps the
-    inferred type.  Every array a value type holds is stored this way.
+    inferred type.  Every array a value type holds is stored this way.  With
+    ``finite``, a NaN or infinite entry is refused with that message.
     """
     a = _readonly(np.array(value, dtype=dtype))
+    if finite is not None and not np.all(np.isfinite(a)):
+        raise DomainError(finite)
     object.__setattr__(obj, name, a)
     return a
 
@@ -139,6 +144,14 @@ class ThetaGrid:
     @property
     def spacing(self) -> float:
         return TWO_PI / self.n_cells
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        return _readonly(np.append(self.nodes, TWO_PI))
+
+    @cached_property
+    def centers(self) -> np.ndarray:
+        return _readonly(self.nodes + 0.5 * self.spacing)
 
 
 @dataclass(frozen=True)
@@ -174,13 +187,11 @@ class CircularDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = frozen(self, "values", self.values)
+        vals = frozen(self, "values", self.values, finite="density values must be finite")
         if vals.shape != (self.grid.n_cells,):
             raise DomainError(
                 f"density shape {vals.shape} does not match grid ({self.grid.n_cells},)"
             )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("density values must be finite")
         if np.any(vals < -1e-12):
             raise DomainError("density has negative values beyond tolerance")
         with np.errstate(over="ignore"):  # a mass past the float range is refused below
@@ -201,31 +212,30 @@ class EmpiricalMeasure:
     space: str = "circle"
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
+        if self.space not in ("circle", "line"):
+            raise DomainError(f"unknown space {self.space!r}")
+        pos = wrap_angle(self.positions) if self.space == "circle" else self.positions
+        pos = frozen(self, "positions", pos, finite="atom positions must be finite")
         w = frozen(self, "weights", self.weights)
         if pos.size == 0:
             raise EmptyMeasure("empirical measure needs at least one atom")
         if pos.shape != w.shape or pos.ndim != 1:
             raise DomainError("positions and weights must be matching 1-d arrays")
-        if self.space not in ("circle", "line"):
-            raise DomainError(f"unknown space {self.space!r}")
-        if not np.all(np.isfinite(pos)):
-            raise DomainError("atom positions must be finite")
         # the comparisons are negated, so that a NaN weight is refused too
         if not np.all(w >= 0):
             raise DomainError("weights must be nonnegative")
-        total = float(w.sum())
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            total = float(w.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise NonNormalized(f"weights sum to {total!r}, not 1 within 1e-12")
-        frozen(self, "positions", wrap_angle(pos) if self.space == "circle" else pos)
 
 
 @dataclass(frozen=True)
 class CdfFn:
     """Circular CDF as a piecewise-linear grid function.
 
-    ``values`` holds ``n_cells + 1`` samples at the nodes extended by the
-    endpoint ``2*pi``, with ``values[0] == 0`` and ``values[-1] == 1``.
+    ``values`` holds ``n_cells + 1`` samples at the grid's ``edges``, with
+    ``values[0] == 0`` and ``values[-1] == 1``.
     """
 
     grid: ThetaGrid
@@ -238,17 +248,12 @@ class CdfFn:
         # the comparisons are negated, so that a NaN value is refused too
         if not (abs(vals[0]) <= 1e-12 and abs(vals[-1] - 1.0) <= 1e-12):
             raise DomainError("CDF must run from 0 at angle 0 to 1 at angle 2*pi")
-        if not np.all(np.diff(vals) >= 0):
+        if not np.all(vals[1:] >= vals[:-1]):  # np.diff would overflow on values past the float range
             raise DomainError("CDF values must be nondecreasing")
-
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        ext = np.append(self.grid.nodes, TWO_PI)
-        return _readonly(ext)
 
     def __call__(self, theta):
         th = np.clip(np.asarray(theta, dtype=float), 0.0, TWO_PI)
-        return np.interp(th, self.nodes, self.values)
+        return np.interp(th, self.grid.edges, self.values)
 
 
 def cdf_from_density(f: CircularDensity) -> CdfFn:
@@ -289,7 +294,7 @@ class QuantileFn:
     def __call__(self, xi):
         x = clip_labels(xi)
         F = self.cdf.values
-        nodes = self.cdf.nodes
+        nodes = self.cdf.grid.edges
         hi = np.clip(np.searchsorted(F, x, side="left"), 1, len(F) - 1)
         lo = hi - 1
         t = (x - F[lo]) / (F[hi] - F[lo])

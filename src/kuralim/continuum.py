@@ -36,9 +36,7 @@ class LabelField:
             raise DomainError(
                 f"values shape {vals.shape} does not match {self.grid.n_labels} labels"
             )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("initial state contains non-finite components")
-        frozen(self, "values", wrap_angle(vals))
+        frozen(self, "values", wrap_angle(vals), finite="initial state contains non-finite components")
 
 
 def cl_rhs(field: LabelField, kernel: InteractionKernel) -> np.ndarray:

@@ -54,7 +54,8 @@ class FourierDensity:
     modes: np.ndarray
 
     def __post_init__(self):
-        m = frozen(self, "modes", self.modes, dtype=complex)
+        m = frozen(self, "modes", self.modes, dtype=complex,
+                   finite="initial state contains non-finite components")
         if m.ndim != 1 or m.size == 0:
             raise DomainError("modes must be a nonempty 1-d complex array")
 
@@ -80,7 +81,7 @@ def moments(state, n) -> np.ndarray:
         return state.modes[:n]
     if grid:
         g = state.grid
-        sums = np.exp(-1j * np.outer(k, g.nodes + 0.5 * g.spacing)) @ state.values
+        sums = np.exp(-1j * np.outer(k, g.centers)) @ state.values
         return sums * g.spacing / np.sinc(k / g.n_cells)
     x = np.asarray(state, dtype=float)
     if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
@@ -166,11 +167,13 @@ class DensityTrajectory:
     drift: np.ndarray | None = None
 
     def __post_init__(self):
-        t = frozen(self, "times", self.times)
-        v = frozen(self, "values", self.values)
-        if v.shape != (len(t), self.grid.n_cells):
-            raise DomainError("values must have shape (n_times, n_cells)")
-        if self.drift is not None and frozen(self, "drift", self.drift).shape != t.shape:
+        t = frozen(self, "times", self.times, finite="recorded times must be finite")
+        v = frozen(self, "values", self.values, finite="density values must be finite")
+        if t.ndim != 1 or v.shape != (t.size, self.grid.n_cells):
+            raise DomainError("need 1-d times and values of shape (n_times, n_cells)")
+        if self.drift is None:
+            return
+        if frozen(self, "drift", self.drift, finite="drift must be finite").shape != t.shape:
             raise DomainError("drift must have one value per recorded time")
 
     def __len__(self) -> int:
@@ -207,13 +210,11 @@ def mfl_simulate_grid(
     """
     grid = initial.grid
     dtheta = grid.spacing
-    centers = grid.nodes + 0.5 * dtheta
-    interfaces = grid.nodes
 
     # Kernel values past the float range fail the first step, as an
     # overflow inside a step does, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        field = kernel.velocity_field(interfaces, centers)
+        field = kernel.velocity_field(grid.nodes, grid.centers)
 
     # The state is the cell values followed by the mass that has crossed
     # the theta = 0 interface so far.

@@ -85,8 +85,7 @@ def oa_cell_averages(p: OAPoint, grid: ThetaGrid) -> CircularDensity:
     transport solver: its reconstructed CDF then starts with no sampling
     bias at the nodes.
     """
-    edges = np.append(grid.nodes, TWO_PI)
-    masses = np.diff(oa_cdf(p, edges))
+    masses = np.diff(oa_cdf(p, grid.edges))
     return CircularDensity(grid, masses / grid.spacing)
 
 

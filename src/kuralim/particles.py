@@ -35,9 +35,7 @@ class ParticleState:
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 1 or pos.size == 0:
             raise DomainError("positions must be a nonempty 1-d array")
-        if not np.all(np.isfinite(pos)):
-            raise DomainError("initial state contains non-finite components")
-        frozen(self, "positions", wrap_angle(pos))
+        frozen(self, "positions", wrap_angle(pos), finite="initial state contains non-finite components")
 
 
 # Values of phi evaluated at once by the generic reductions: one row block.
@@ -48,11 +46,6 @@ BLOCK_VALUES = 1 << 14
 # Larger node sets evaluate phi again, block by block, on every call, which
 # gives the same bytes.
 CACHE_VALUES = 1 << 22
-
-
-def _check_finite(name: str, values) -> None:
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{name} must be finite")
 
 
 def _sine_mean(positions: np.ndarray, m: int) -> np.ndarray:
@@ -127,7 +120,8 @@ class KuramotoSin(InteractionKernel):
     coupling: float = 1.0
 
     def __post_init__(self):
-        _check_finite("coupling", self.coupling)
+        if not np.all(np.isfinite(self.coupling)):
+            raise DomainError("coupling must be finite")
 
     def phi(self, x, y):
         return self.coupling * np.sin(np.asarray(y, dtype=float) - x)
@@ -155,10 +149,10 @@ class OddTrig(InteractionKernel):
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if len(self.coefficients) == 0:
-            raise DomainError("OddTrig needs at least one harmonic coefficient")
-        _check_finite("coefficients", self.coefficients)
+        c = np.array(self.coefficients, dtype=float)
+        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+            raise DomainError("OddTrig needs a nonempty 1-d sequence of finite coefficients")
+        object.__setattr__(self, "coefficients", tuple(c.tolist()))
 
     def phi(self, x, y):
         d = np.asarray(y, dtype=float) - x
@@ -191,11 +185,10 @@ class TabulatedGradient(InteractionKernel):
     periodic: bool = False
 
     def __post_init__(self):
-        u = frozen(self, "offsets", self.offsets)
-        v = frozen(self, "values", self.values)
+        u = frozen(self, "offsets", self.offsets, finite="offsets/values must be finite")
+        v = frozen(self, "values", self.values, finite="offsets/values must be finite")
         if u.ndim != 1 or u.shape != v.shape or len(u) < 2:
             raise DomainError("tabulated kernel needs as many offsets as values, at least 2")
-        _check_finite("offsets/values", np.concatenate([u, v]))
         if np.any(u[1:] <= u[:-1]):  # np.diff would overflow on a window past the float range
             raise DomainError("offsets must be strictly increasing")
         if float(u[-1]) - float(u[0]) == np.inf:

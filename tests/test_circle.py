@@ -249,6 +249,7 @@ def test_value_types_keep_private_readonly_copies(name):
             assert not value.flags.writeable, f"{name}.{field.name} is writeable"
 
 
+FLAT_ROWS = np.full((2, 2), 1.0 / TWO_PI)  # two rows of the uniform 2-cell density
 MALFORMED = {
     "measure-empty": (lambda: EmpiricalMeasure(np.array([]), np.array([])), EmptyMeasure),
     "measure-shapes": (lambda: EmpiricalMeasure(np.array([0.5, 1.5]), np.array([1.0])), DomainError),
@@ -264,6 +265,18 @@ MALFORMED = {
     "field-inf": (lambda: LabelField(LabelGrid(2), np.array([0.0, np.inf])), DomainError),
     "table-shapes": (lambda: TabulatedGradient(np.array([-1.0, 0.0, 1.0]), np.array([1.0, -1.0])), DomainError),
     "table-short": (lambda: TabulatedGradient(np.array([0.0]), np.array([1.0])), DomainError),
+    "modes-nan": (lambda: FourierDensity(np.array([0.1, np.nan])), DomainError),
+    "modes-inf": (lambda: FourierDensity(np.array([complex(0.1, np.inf)])), DomainError),
+    "trajectory-times-nan": (lambda: DensityTrajectory(np.array([0.0, np.nan]), FLAT_ROWS, ThetaGrid(2)), DomainError),
+    "trajectory-times-inf": (lambda: DensityTrajectory(np.array([0.0, np.inf]), FLAT_ROWS, ThetaGrid(2)), DomainError),
+    "trajectory-values-inf": (
+        lambda: DensityTrajectory(np.array([0.0, 0.1]), np.array([[np.inf, 0.0], FLAT_ROWS[1]]), ThetaGrid(2)),
+        DomainError,
+    ),
+    "trajectory-drift-nan": (
+        lambda: DensityTrajectory(np.array([0.0, 0.1]), FLAT_ROWS, ThetaGrid(2), np.array([0.0, np.nan])),
+        DomainError,
+    ),
 }
 
 
@@ -271,6 +284,14 @@ MALFORMED = {
 def test_value_types_refuse_malformed_arrays(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_theta_grid_edges_and_centers():
+    g = ThetaGrid(8)
+    assert g.edges.tobytes() == np.append(g.nodes, TWO_PI).tobytes()
+    assert g.centers.tobytes() == (g.nodes + 0.5 * g.spacing).tobytes()
+    assert g.edges is g.edges and g.centers is g.centers
+    assert not (g.edges.flags.writeable or g.centers.flags.writeable)
 
 
 def test_circular_density_validation():
@@ -308,7 +329,7 @@ def test_cdf_node_exact_for_exact_cell_averages():
     p = OAPoint(0.7, 0.4)
     g = ThetaGrid(256)
     F = cdf_from_density(oa_cell_averages(p, g))
-    exact = oa_cdf(p, F.nodes)
+    exact = oa_cdf(p, F.grid.edges)
     assert np.max(np.abs(F.values - exact)) < 1e-13
 
 
@@ -327,7 +348,7 @@ def test_quantile_inverts_cdf_at_nodes_exactly():
     F = cdf_from_density(oa_cell_averages(p, g))
     Q = QuantileFn(F)
     # piecewise-linear inverse hits the nodes bit for bit
-    assert np.array_equal(Q(F.values), F.nodes)
+    assert np.array_equal(Q(F.values), F.grid.edges)
 
 
 def test_quantile_round_trip_interior():

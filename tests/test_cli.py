@@ -814,6 +814,13 @@ REFUSALS = {
     # an infinite cell warned in the anchor flux before the density's refusal
     "transform-infinite-cell": _transform(GRID_2, "error: density values must be finite",
                                           traj="t,f_0,f_1\n0,{u},{u}\n1,inf,{u}\n2,{u},{u}\n".format(u=1 / (2 * np.pi))),
+    # a non-finite time gave nan cells and a NaN/Infinity drift sidecar with exit 0
+    **{
+        f"transform-{name}-time": _transform(
+            GRID_2, "error: recorded times must be finite",
+            traj="t,f_0,f_1\n0,{u},{u}\n{t},{u},{u}\n0.2,{u},{u}\n".format(t=name, u=1 / (2 * np.pi)))
+        for name in ("nan", "inf")
+    },
     # configs
     "non-utf8-config": _simulate(b"\xff\xfe\x00mode: ds\n", re.compile(r"^error: cannot decode config 'run\.yaml'")),
     # PyYAML raises ValueError, not a YAMLError, for these
@@ -1462,7 +1469,7 @@ FLAG_NUMBERS = [
 ]
 LIMITS = [str(FUZZ_ROWS + k) for k in (-2, -1, 0, 1)]
 BROKEN_INPUTS = ["missing", "empty", "binary", "header-only", "wide-header", "ragged", "text",
-                 "nan", "negative", "unnormalized", "times"]
+                 "nan", "negative", "unnormalized", "times", "nan-time", "inf-time"]
 OA_HEADERS = {"eval": ["theta", "density", "cdf", "xi", "quantile"], "flow": ["t", "alpha", "beta"]}
 
 
@@ -1489,6 +1496,8 @@ def _density_rows(draw, n_cells, kind):
         cells[-1][-1] = broken[kind]
     if kind == "times":  # the last time before the first
         cells[-1][0] = "-1.0"
+    if kind in ("nan-time", "inf-time"):
+        cells[-1][0] = kind[:3]
     if kind == "ragged":
         cells[-1].pop()
     if kind == "header-only":
@@ -1536,8 +1545,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def _bad_time_run(t):
+    """A transform of four uniform 2-cell rows whose second time is ``t``."""
+    rows = "".join(f"{time},{1 / TWO_PI!r},{1 / TWO_PI!r}\n" for time in ("0", t, "0.2", "0.3"))
+    argv = ["transform", "--config", "{tmp}/run.yaml", "--input", "{tmp}/in.csv", "--output", "{tmp}/out.csv"]
+    return argv, {"run.yaml": "mode: mfl-grid\nn_cells: 2\nT: 0\n", "in.csv": "t,f_0,f_1\n" + rows}
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(run=_transform_and_oa_runs())
+# the drawn broken times reach only two-row inputs, which the drift
+# quadrature refuses first; four rows wrote nan cells with exit 0
+@example(run=_bad_time_run("nan"))
+@example(run=_bad_time_run("inf"))
 def test_transform_and_oa_give_a_csv_or_one_error_line(run):
     template, files = run
     with tempfile.TemporaryDirectory() as tmp:

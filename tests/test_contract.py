@@ -1,7 +1,8 @@
 """The library contract, drawn: every verify suite, the four solvers, the
-two family fields, ``moments``, ``oa_defect``, the ``oa_*`` closed forms and
-the bridge answer any argument with their result or a
-:class:`KuralimError`, never a foreign exception or a numpy warning.
+two family fields, ``moments``, ``oa_defect``, the ``oa_*`` closed forms,
+the bridge and the value-type constructors answer any argument with their
+result or a :class:`KuralimError`, never a foreign exception or a numpy
+warning.  A value type that accepts its arguments holds finite arrays only.
 
 Suite arguments are drawn by the type of their defaults, so a new suite
 argument is drawn without an edit here.  ``t_end`` and ``dt`` are drawn
@@ -9,6 +10,7 @@ together so that no run takes more than 20 steps.  Every float is also
 drawn as ``np.float64`` and every int as ``np.int64``; angles and samples
 are drawn as floats, lists and arrays.
 """
+import dataclasses
 import inspect
 import json
 import math
@@ -20,15 +22,19 @@ from hypothesis import example, given, settings, strategies as st
 from kuralim import (
     SUITES,
     BridgeResult,
+    CdfFn,
     CircularDensity,
     DensityTrajectory,
+    EmpiricalMeasure,
     FourierDensity,
     KuralimError,
     KuramotoSin,
     LabelField,
     LabelGrid,
     OAPoint,
+    OddTrig,
     ParticleState,
+    TabulatedGradient,
     ThetaGrid,
     Trajectory,
     VerificationReport,
@@ -267,3 +273,83 @@ def test_library_entry_points_return_a_result_or_a_kuralim_error(call):
         json.dumps(result.to_json_dict())
         if math.isnan(result.max_residual):
             assert result.passed is False
+
+
+# The value types' constructors.  Arrays come as value types are handed
+# them: a scalar, a list, or a 1-d or 2-d array of drawn floats, or an
+# accepted instance's array with one entry drawn, so that draws get past
+# the refusals often.
+array_entries = _also_numpy(st.sampled_from(FLOATS), np.float64)
+arrays = st.one_of(
+    array_entries,
+    st.lists(array_entries, max_size=4),
+    st.lists(array_entries, max_size=4).map(np.array),
+    st.lists(st.lists(array_entries, min_size=2, max_size=2), max_size=3).map(np.array),
+)
+
+
+def _near(valid):
+    """``valid``, a copy of it with one entry drawn, or any drawn array."""
+    def poke(at, x):
+        a = np.array(valid)
+        a.flat[at % a.size] = x
+        return a
+
+    return st.one_of(st.just(valid), st.builds(poke, st.integers(0, 63), floats), arrays)
+
+
+UNIFORM = np.full(4, 1.0 / (2.0 * math.pi))
+counts = st.one_of(ints, floats, st.just(True))
+# name -> (constructor, its arguments)
+VALUE_TYPES = {
+    "ThetaGrid": (ThetaGrid, {"n_cells": counts}),
+    "LabelGrid": (LabelGrid, {"n_labels": counts}),
+    "CircularDensity": (CircularDensity, {"grid": st.just(ThetaGrid(4)), "values": _near(UNIFORM)}),
+    "FourierDensity": (FourierDensity, {"modes": st.one_of(
+        _near(FourierDensity.from_oa(FAMILY, 4).modes), st.lists(st.builds(complex, floats, floats), max_size=4))}),
+    "FourierDensity.from_oa": (FourierDensity.from_oa, {
+        "point": st.sampled_from((FAMILY, OAPoint(0.0, 1.0), OAPoint(-3.0, 0.0))), "n_modes": counts}),
+    "DensityTrajectory": (DensityTrajectory, {
+        "times": _near(RUN.times), "values": _near(RUN.values), "grid": st.sampled_from((RUN.grid, ThetaGrid(2))),
+        "drift": st.one_of(st.none(), _near(RUN.drift))}),
+    "TabulatedGradient": (TabulatedGradient, {
+        "offsets": _near(np.array([-1.0, 0.0, 1.0])), "values": _near(np.array([1.0, 0.0, -1.0])),
+        "periodic": st.booleans()}),
+    "OddTrig": (OddTrig, {"coefficients": st.one_of(float_lists.map(tuple), arrays)}),
+    "KuramotoSin": (KuramotoSin, {"coupling": floats}),
+    "ParticleState": (ParticleState, {"positions": _near(np.array([0.5, 1.5, 2.5]))}),
+    "LabelField": (LabelField, {"grid": st.sampled_from((LabelGrid(2), LabelGrid(1))),
+                                "values": _near(np.array([0.5, 1.5]))}),
+    "EmpiricalMeasure": (EmpiricalMeasure, {
+        "positions": _near(np.array([0.5, 1.5])), "weights": _near(np.array([0.25, 0.75])),
+        "space": st.sampled_from(("circle", "line", "torus"))}),
+    "CdfFn": (CdfFn, {"grid": st.just(ThetaGrid(4)), "values": _near(np.linspace(0.0, 1.0, 5))}),
+}
+constructions = st.one_of(*[
+    st.fixed_dictionaries(arguments).map(lambda kw, name=name: (name, kw))
+    for name, (_, arguments) in VALUE_TYPES.items()
+])
+
+
+@settings(derandomize=True, max_examples=800, deadline=None, database=None)
+@given(call=constructions)
+# len() of 0-d times and iterating a scalar coefficient raised TypeError
+@example(call=("DensityTrajectory", {"times": 0.0, "values": 0.0, "grid": ThetaGrid(2), "drift": None}))
+@example(call=("OddTrig", {"coefficients": 0.0}))
+# a weight sum and a CDF increment past the float range warned
+@example(call=("EmpiricalMeasure", {"positions": [0.5, 1.5], "weights": [1e308, 1e308], "space": "circle"}))
+@example(call=("CdfFn", {"grid": ThetaGrid(4), "values": [0.0, 1e308, -1e308, 1e308, 1.0]}))
+def test_value_types_hold_finite_arrays_or_raise_a_kuralim_error(call):
+    name, kwargs = call
+    construct, _ = VALUE_TYPES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = construct(**kwargs)
+        except KuralimError:
+            return
+    assert dataclasses.is_dataclass(value), (name, kwargs, value)
+    for field in dataclasses.fields(value):
+        held = getattr(value, field.name)
+        if isinstance(held, np.ndarray):
+            assert np.all(np.isfinite(held)), (name, kwargs, field.name)

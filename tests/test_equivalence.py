@@ -4,6 +4,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -133,6 +134,54 @@ def test_contract_reports_each_violation_and_expect_never_excuses_one():
         assert status == 1
         assert [line for line in lines if ": contract: " in line] == [f"{id}: contract: {what}" for id, what in violations]
     assert eq.contract(["clean"], change) == []
+
+
+def test_contract_reads_the_csv_and_json_files_of_runs_that_exit_0_or_1():
+    nan_cell = {"out.csv": b"t,x_0\n0.0,nan\n"}
+    faults = {
+        "nan-cell": ([0], nan_cell),
+        "inf-cell": ([0, 1], {"out.csv": b"t,x_0\n0.0,1.0\n-inf,2.0\n"}),
+        "json-nan": ([0], {"out.drift.json": b'{"times": [0.0], "drift": [NaN]}\n'}),
+        "json-infinity": ([1], {"verify.json": b'{"max_residual": -Infinity}\n'}),
+        "json-malformed": ([0], {"out.meta.json": b'{"seed": 3\n'}),
+    }
+    clean = {
+        # the rule reads cells, not text; only .csv and .json files are read
+        "clean": ([0], {"out.csv": b"t,info,nano\n1.0e+00,-0.0,2.5e-01\n", "out.json": b'{"nan": "inf"}\n',
+                        "values": b"nan"}),
+        # a run that exits 2 is refused; the files it leaves are not outputs
+        "refused": ([0, 2], nan_cell),
+    }
+    results = {id: eq.Result([(code, "", "error: no\n" if code == 2 else "") for code in codes], files)
+               for id, (codes, files) in {**faults, **clean}.items()}
+    assert eq.contract(list(results), results) == [
+        ("nan-cell", "file out.csv: non-finite cell 'nan' in line 2"),
+        ("inf-cell", "file out.csv: non-finite cell '-inf' in line 3"),
+        ("json-nan", "file out.drift.json: not strict JSON: NaN"),
+        ("json-infinity", "file verify.json: not strict JSON: -Infinity"),
+        ("json-malformed", "file out.meta.json: not strict JSON: Expecting ',' delimiter: line 2 column 1 (char 11)"),
+    ]
+
+
+def test_library_file_difference_names_the_element_and_both_values():
+    stdout = "values: ndarray float64 (3, 2)\nscalars: tuple of complex complex128 (2,)\nnone: ndarray float64 (0,)\n"
+    values, scalars = np.arange(6.0).reshape(3, 2), np.array([1j, 2.0])
+    changed_values, changed_scalars = values.copy(), scalars.copy()
+    changed_values[2, 0], changed_scalars[1] = 4.000000000000001, 2.0 - 0.5j
+    parent = {"library/x": eq.Result([(0, stdout, "")], {"values": values.tobytes(), "scalars": scalars.tobytes(),
+                                                           "none": b""}),
+              "cli": eq.Result([(0, "values: ndarray float64 (3, 2)\n", "")], {"values": values.tobytes()})}
+    change = {"library/x": eq.Result([(0, stdout, "")], {"values": changed_values.tobytes(),
+                                                           "scalars": changed_scalars.tobytes(), "none": b"\0"}),
+              "cli": eq.Result([(0, "values: ndarray float64 (3, 2)\n", "")], {"values": changed_values.tobytes()})}
+    differences = eq.compare(["library/x", "cli"], parent, change)
+    assert differences[:3] == [
+        # a length that does not fit the layout, and any file outside library/, is read as text
+        ("library/x", "file none: line 1, column 1: b'' (parent) != b'\\x00' (change)"),
+        ("library/x", "file scalars: element (1,) of complex128 (2,): (2+0j) (parent) != (2-0.5j) (change)"),
+        ("library/x", "file values: element (2, 0) of float64 (3, 2): 4.0 (parent) != 4.000000000000001 (change)"),
+    ]
+    assert differences[3][0] == "cli" and differences[3][1].startswith("file values: line 1, column ")
 
 
 def test_library_call_is_recorded_as_a_command_under_the_same_contract(tmp_path, monkeypatch):
